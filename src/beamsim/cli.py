@@ -30,10 +30,12 @@ from . import radiometry
 from .fieldgen import FAMILIES, BeamModelSpec, generate_ensemble
 from .photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
 from .spectral import (
+    _write_csv,
     periodogram_distribution_test,
     report_to_json,
     spectrum,
     stationarity_test,
+    windowed_means_and_carrier_powers,
 )
 from .traceio import read_trace, write_trace
 
@@ -67,16 +69,18 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         return
     cfg = _parse_config_file(args.config)
     explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    types = {a.dest: a.type for a in args.parser._actions}
+    # config keys are the subcommand's long flags without the leading "--"
+    actions = {opt[2:]: a for a in args.parser._actions
+               for opt in a.option_strings if opt.startswith("--")}
     for key, raw in cfg.items():
-        dest = key.replace("-", "_")
-        if dest in ("config", "func", "parser") or dest not in vars(args):
+        action = actions.get(key)
+        if action is None or key == "config" or action.dest not in vars(args):
             raise ConfigurationError(f"config key {key!r} unknown for this command")
-        if "--" + key.replace("_", "-") in explicit:
+        if "--" + key in explicit:
             continue
-        conv = types.get(dest) or str
+        conv = action.type or str
         try:
-            setattr(args, dest, conv(raw))
+            setattr(args, action.dest, conv(raw))
         except ValueError as exc:
             raise ConfigurationError(f"config key {key!r}: {exc}") from exc
 
@@ -100,7 +104,8 @@ def _metadata(args: argparse.Namespace) -> dict:
 
 
 def _emit(args: argparse.Namespace, payload_json: dict, csv_writer) -> None:
-    """Route a result to --out (or stdout) in the requested format."""
+    """Route a result to --out (or stdout) in the requested format;
+    `csv_writer` takes a path or an open text stream."""
     if args.format == "json":
         body = {"tool_version": __version__, "config": _resolved_config(args)}
         body.update(payload_json)
@@ -109,25 +114,7 @@ def _emit(args: argparse.Namespace, payload_json: dict, csv_writer) -> None:
         else:
             print(json.dumps(body, indent=2, sort_keys=True))
     else:
-        if args.out:
-            csv_writer(args.out)
-        else:
-            import tempfile
-
-            with tempfile.NamedTemporaryFile("r", suffix=".csv", delete=False) as fh:
-                tmp = fh.name
-            csv_writer(tmp)
-            sys.stdout.write(Path(tmp).read_text())
-            Path(tmp).unlink()
-
-
-def _write_kv_csv(path, rows, meta: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write("quantity,value,formula\n")
-        for name, value, formula in rows:
-            fh.write(f"{name},{value!r},{formula}\n")
+        csv_writer(args.out or sys.stdout)
 
 
 def _model_from_args(args: argparse.Namespace) -> BeamModelSpec:
@@ -191,7 +178,9 @@ def cmd_blackbody(args: argparse.Namespace) -> int:
     ]
     payload = {"report": {name: value for name, value, _ in rows},
                "formulas": {name: formula for name, _, formula in rows}}
-    _emit(args, payload, lambda p: _write_kv_csv(p, rows, _metadata(args)))
+    _emit(args, payload, lambda out: _write_csv(
+        out, _metadata(args), ["quantity", "value", "formula"],
+        ([name, repr(value), formula] for name, value, formula in rows)))
     return EXIT_OK
 
 
@@ -228,7 +217,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     est = spectrum(_ensemble_from_args(args))
     payload = {"spectrum": est.to_json_dict()}
-    _emit(args, payload, lambda p: est.to_csv(p, _metadata(args)))
+    _emit(args, payload, lambda out: est.to_csv(out, _metadata(args)))
     return EXIT_OK
 
 
@@ -247,7 +236,7 @@ def cmd_g2(args: argparse.Namespace) -> int:
     payload = {"g2": {"tau": est.tau.tolist(), "values": est.values.tolist(),
                       "std_errors": est.std_errors.tolist(),
                       "ensemble_size": est.ensemble_size}}
-    _emit(args, payload, lambda p: est.to_csv(p, _metadata(args)))
+    _emit(args, payload, lambda out: est.to_csv(out, _metadata(args)))
     return EXIT_OK
 
 
@@ -264,17 +253,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                 center_detuning=args.filter_center)
     payload = {"sweep": [{"fwhm": r.fwhm, "value": r.g2_zero, "std_error": r.std_error,
                           "ensemble_size": r.ensemble_size} for r in rows]}
-
-    def write_csv(path):
-        meta = _metadata(args)
-        with open(path, "w", newline="") as fh:
-            for key in sorted(meta):
-                fh.write(f"# {key}={meta[key]}\n")
-            fh.write("fwhm,value,std_error,ensemble_size\n")
-            for r in rows:
-                fh.write(f"{r.fwhm!r},{r.g2_zero!r},{r.std_error!r},{r.ensemble_size}\n")
-
-    _emit(args, payload, write_csv)
+    _emit(args, payload, lambda out: _write_csv(
+        out, _metadata(args), ["fwhm", "value", "std_error", "ensemble_size"],
+        ([repr(r.fwhm), repr(r.g2_zero), repr(r.std_error), str(r.ensemble_size)]
+         for r in rows)))
     return EXIT_OK
 
 
@@ -284,12 +266,10 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
     results = []
     for family in ("thermal", "laser", "kspace_product"):
         model = BeamModelSpec(family=family, nu=args.nu, gamma=args.gamma)
-        stat = stationarity_test(
-            generate_ensemble(model, dt, n, args.seed, args.traces),
-            n_windows=args.windows, significance=args.significance)
-        law = periodogram_distribution_test(
-            generate_ensemble(model, dt, n, args.seed, args.traces),
-            detuning=0.0, significance=args.significance)
+        W, carrier = windowed_means_and_carrier_powers(
+            generate_ensemble(model, dt, n, args.seed, args.traces), args.windows)
+        stat = stationarity_test(W, significance=args.significance)
+        law = periodogram_distribution_test(carrier, significance=args.significance)
         results.append({
             "family": family,
             "stationarity_p": stat.p_value,
@@ -299,19 +279,12 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
             "verdict": "stationary" if (stat.passed and law.passed) else "rejected",
         })
     payload = {"results": results}
-
-    def write_csv(path):
-        meta = _metadata(args)
-        with open(path, "w", newline="") as fh:
-            for key in sorted(meta):
-                fh.write(f"# {key}={meta[key]}\n")
-            fh.write("family,stationarity_p,stationarity_passed,"
-                     "periodogram_p,periodogram_passed,verdict\n")
-            for r in results:
-                fh.write(f"{r['family']},{r['stationarity_p']!r},{r['stationarity_passed']},"
-                         f"{r['periodogram_p']!r},{r['periodogram_passed']},{r['verdict']}\n")
-
-    _emit(args, payload, write_csv)
+    columns = ["family", "stationarity_p", "stationarity_passed",
+               "periodogram_p", "periodogram_passed", "verdict"]
+    _emit(args, payload, lambda out: _write_csv(
+        out, _metadata(args), columns,
+        ([repr(r[c]) if c.endswith("_p") else str(r[c]) for c in columns]
+         for r in results)))
     for r in results:
         print(f"{r['family']:<16} {r['verdict']}")
     return EXIT_OK

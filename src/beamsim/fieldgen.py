@@ -129,6 +129,11 @@ class FieldTrace:
         return self.samples.real**2 + self.samples.imag**2
 
 
+def _expect_family(model: BeamModelSpec, family: str) -> None:
+    if model.family != family:
+        raise DomainError(f"expected family {family!r}, got {model.family!r}")
+
+
 def _check_dt(model: BeamModelSpec, dt: float) -> None:
     bound = 0.01 / model.gamma
     if dt > bound * (1.0 + 1e-12):
@@ -160,8 +165,7 @@ def _ou_step_coefficients(nu: float, gamma: float, dt: float) -> tuple[float, fl
 def gen_thermal_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                       trace_index: int = 0) -> FieldTrace:
     """Exact-discretization complex OU process with kernel exp(-Gamma tau / 2)."""
-    if model.family != "thermal":
-        raise DomainError(f"expected family 'thermal', got {model.family!r}")
+    _expect_family(model, "thermal")
     _check_dt(model, dt)
     rng = trace_rng(master_seed, trace_index)
     a, sigma2 = _ou_step_coefficients(model.nu, model.gamma, dt)
@@ -193,8 +197,7 @@ def _diffusion_phase(model: BeamModelSpec, dt: float, n: int, rng: np.random.Gen
 def gen_laser_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                     trace_index: int = 0) -> FieldTrace:
     """Constant-modulus phase-diffusing laser field."""
-    if model.family != "laser":
-        raise DomainError(f"expected family 'laser', got {model.family!r}")
+    _expect_family(model, "laser")
     _check_dt(model, dt)
     rng = trace_rng(master_seed, trace_index)
     phi = _diffusion_phase(model, dt, n, rng)
@@ -212,8 +215,7 @@ def gen_jittered_laser_trace(model: BeamModelSpec, dt: float, n: int, master_see
     detuning * dt to each phase increment.  With jitter_band == 0 the trace
     is bit-identical to gen_laser_trace at the same seed.
     """
-    if model.family != "jittered_laser":
-        raise DomainError(f"expected family 'jittered_laser', got {model.family!r}")
+    _expect_family(model, "jittered_laser")
     _check_dt(model, dt)
     rng = trace_rng(master_seed, trace_index)
     extra = None
@@ -243,12 +245,12 @@ def _mode_mean_photons(model: BeamModelSpec, dt: float, n: int) -> np.ndarray:
     return model.nu * lorentzian(omega, model.gamma) / (n * dt)
 
 
-def gen_kspace_product_field(nu: float, gamma: float, dt: float, n: int, master_seed: int,
+def gen_kspace_product_field(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                              trace_index: int = 0) -> FieldTrace:
     """Sample of the per-frequency-mode product of laser states: each discrete
     mode gets a deterministic modulus sqrt(nu f(omega_l) / duration) and an
     independent uniform phase."""
-    model = BeamModelSpec(family="kspace_product", nu=nu, gamma=gamma)
+    _expect_family(model, "kspace_product")
     _check_duration(model, dt, n)
     rng = trace_rng(master_seed, trace_index)
     theta = rng.uniform(0.0, TWO_PI, n)
@@ -258,11 +260,11 @@ def gen_kspace_product_field(nu: float, gamma: float, dt: float, n: int, master_
                       master_seed=master_seed, trace_index=trace_index)
 
 
-def gen_periodic_thermal_field(nu: float, gamma: float, dt: float, n: int, master_seed: int,
+def gen_periodic_thermal_field(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                                trace_index: int = 0) -> FieldTrace:
     """Exactly periodic thermal realization: independent complex-Gaussian modes
     with E|A_l|^2 = nu f(omega_l) / duration."""
-    model = BeamModelSpec(family="periodic_thermal", nu=nu, gamma=gamma)
+    _expect_family(model, "periodic_thermal")
     _check_duration(model, dt, n)
     rng = trace_rng(master_seed, trace_index)
     re = rng.standard_normal(n)
@@ -278,19 +280,15 @@ _GENERATORS = {
     "thermal": gen_thermal_trace,
     "laser": gen_laser_trace,
     "jittered_laser": gen_jittered_laser_trace,
+    "kspace_product": gen_kspace_product_field,
+    "periodic_thermal": gen_periodic_thermal_field,
 }
 
 
 def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                    trace_index: int = 0) -> FieldTrace:
-    """Dispatch to the family's generator."""
-    if model.family in _GENERATORS:
-        return _GENERATORS[model.family](model, dt, n, master_seed, trace_index)
-    if model.family == "kspace_product":
-        return gen_kspace_product_field(model.nu, model.gamma, dt, n, master_seed, trace_index)
-    if model.family == "periodic_thermal":
-        return gen_periodic_thermal_field(model.nu, model.gamma, dt, n, master_seed, trace_index)
-    raise DomainError(f"no generator for family {model.family!r}")
+    """Dispatch to the family's generator (every family has one)."""
+    return _GENERATORS[model.family](model, dt, n, master_seed, trace_index)
 
 
 def generate_ensemble(model: BeamModelSpec, dt: float, n: int, master_seed: int,

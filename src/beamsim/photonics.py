@@ -23,6 +23,7 @@ from .fieldgen import (
     trace_rng,
     _CHANNEL_COUNTS,
 )
+from .spectral import _float_cells, _scan, _write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,12 +77,11 @@ class G2Estimate:
         i = int(np.argmin(np.abs(self.tau - tau)))
         return float(self.values[i])
 
-    def to_csv(self, path, metadata: dict | None = None) -> None:
-        from .spectral import _write_csv
-
-        _write_csv(path, ["tau", "g2", "std_error"],
-                   zip(self.tau, self.values, self.std_errors),
-                   metadata, {"ensemble_size": self.ensemble_size})
+    def to_csv(self, out, metadata: dict | None = None) -> None:
+        """CSV table to `out`, a path or an open text stream."""
+        _write_csv(out, {**(metadata or {}), "ensemble_size": self.ensemble_size},
+                   ["tau", "g2", "std_error"],
+                   _float_cells(zip(self.tau, self.values, self.std_errors)))
 
 
 def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
@@ -89,6 +89,22 @@ def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
     if skip >= n - 1:
         raise DomainError("burn_in leaves no samples to analyse")
     return skip
+
+
+def _ratio_estimate(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Pooled ratio mean(x) / mean(y)^2 over traces and its delta-method
+    standard error from the per-trace scatter of x and y (zero for one trace)."""
+    count = x.size
+    xbar, ybar = x.mean(), y.mean()
+    if count < 2:
+        return xbar / ybar**2, 0.0
+    var_x = np.var(x, ddof=1) / count
+    var_y = np.var(y, ddof=1) / count
+    cov_xy = np.cov(x, y, ddof=1)[0, 1] / count
+    var_g = (var_x / ybar**4
+             + 4.0 * xbar**2 / ybar**6 * var_y
+             - 4.0 * xbar / ybar**5 * cov_xy)
+    return xbar / ybar**2, math.sqrt(max(var_g, 0.0))
 
 
 def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
@@ -100,52 +116,32 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
     method.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    per_num = None   # per trace, per tau: time-mean of I(t) I(t+tau)
-    per_mean = []    # per trace: time-mean intensity
-    dt = n = None
     lags = None
-    for trace in traces:
-        if dt is None:
-            dt, n = trace.dt, trace.n_samples
-            lags = np.rint(tau_grid / dt).astype(int)
-            if np.any(np.abs(lags * dt - tau_grid) > 1e-6 * max(dt, float(np.max(tau_grid, initial=dt)))):
-                raise DomainError("tau_grid values must be multiples of dt")
-            per_num = [[] for _ in lags]
-        elif trace.n_samples != n or abs(trace.dt - dt) > 1e-12 * dt:
-            raise DomainError("ensemble traces must share one time grid")
+
+    def setup(dt: float, n: int):
+        nonlocal lags
+        if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
+            raise DomainError("tau_grid values must be finite and >= 0")
+        lags = np.rint(tau_grid / dt).astype(int)
+        if np.any(np.abs(lags * dt - tau_grid) > 1e-6 * max(dt, float(np.max(tau_grid, initial=dt)))):
+            raise DomainError("tau_grid values must be multiples of dt")
         skip = _burn_in_samples(dt, n, burn_in)
-        intensity = trace.intensity()[skip:]
-        if np.max(lags, initial=0) >= intensity.size:
+        if np.max(lags, initial=0) >= n - skip:
             raise DomainError("tau exceeds the analysable trace length")
-        per_mean.append(intensity.mean())
-        for slot, lag in enumerate(lags):
-            if lag == 0:
-                per_num[slot].append(np.mean(intensity * intensity))
-            else:
-                per_num[slot].append(np.mean(intensity[:-lag] * intensity[lag:]))
-    if per_num is None:
-        raise DomainError("empty ensemble")
-    count = len(per_mean)
-    y = np.asarray(per_mean)
-    ybar = y.mean()
-    values = np.empty(len(lags))
-    std_errors = np.empty(len(lags))
-    for slot in range(len(lags)):
-        x = np.asarray(per_num[slot])
-        xbar = x.mean()
-        values[slot] = xbar / ybar**2
-        if count > 1:
-            var_x = np.var(x, ddof=1) / count
-            var_y = np.var(y, ddof=1) / count
-            cov_xy = np.cov(x, y, ddof=1)[0, 1] / count
-            var_g = (var_x / ybar**4
-                     + 4.0 * xbar**2 / ybar**6 * var_y
-                     - 4.0 * xbar / ybar**5 * cov_xy)
-            std_errors[slot] = math.sqrt(max(var_g, 0.0))
-        else:
-            std_errors[slot] = 0.0
-    return G2Estimate(tau=np.asarray(lags) * dt, values=values,
-                      std_errors=std_errors, ensemble_size=count)
+
+        def row(trace):
+            # time-mean intensity, then the time-mean of I(t) I(t+tau) per lag
+            intensity = trace.intensity()[skip:]
+            return [intensity.mean()] + [
+                np.mean(intensity * intensity) if lag == 0
+                else np.mean(intensity[:-lag] * intensity[lag:]) for lag in lags]
+        return row
+
+    dt, count, rows = _scan(traces, setup)
+    estimates = [_ratio_estimate(x, rows[:, 0]) for x in rows[:, 1:].T]
+    values, std_errors = np.array(estimates, dtype=float).reshape(-1, 2).T
+    return G2Estimate(tau=lags * dt, values=values, std_errors=std_errors,
+                      ensemble_size=count)
 
 
 @dataclass(frozen=True)
@@ -229,45 +225,33 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
     of the trace for analysis.
     """
     filters = [FilterSpec(center_detuning=center_detuning, fwhm=f) for f in fwhm_list]
-    for f in filters:
+    burns = [max(f.suggested_burn_in(), 10.0 / model.gamma) for f in filters]
+    for f, burn in zip(filters, burns):
         if f.fwhm >= math.pi / dt:
             raise ConfigurationError(f"filter fwhm {f.fwhm:g} not resolvable at dt={dt:g}")
-        burn = max(f.suggested_burn_in(), 10.0 / model.gamma)
         if burn > 0.5 * n * dt:
             raise ConfigurationError(
                 f"trace too short for fwhm={f.fwhm:g}: burn-in {burn:g} exceeds half the duration"
             )
     omega = TWO_PI * np.fft.fftfreq(n, d=dt)
     responses = [f.amplitude_response(omega) for f in filters]
-    burns = [max(f.suggested_burn_in(), 10.0 / model.gamma) for f in filters]
     skips = [int(round(b / dt)) for b in burns]
 
-    per_num = [[] for _ in filters]
-    per_mean = [[] for _ in filters]
-    for trace in generate_ensemble(model, dt, n, master_seed, n_traces):
+    def row(trace):
+        # per filter: time-mean intensity and time-mean squared intensity
         modes = np.fft.ifft(trace.samples)
-        for slot, resp in enumerate(responses):
+        out = []
+        for resp, skip in zip(responses, skips):
             filtered = np.fft.fft(modes * resp)
-            intensity = (filtered.real**2 + filtered.imag**2)[skips[slot]:]
-            per_mean[slot].append(intensity.mean())
-            per_num[slot].append(np.mean(intensity * intensity))
-    rows = []
+            intensity = (filtered.real**2 + filtered.imag**2)[skip:]
+            out += [intensity.mean(), np.mean(intensity * intensity)]
+        return out
+
+    _, count, rows = _scan(generate_ensemble(model, dt, n, master_seed, n_traces),
+                           lambda dt, n: row)
+    sweep = []
     for slot, f in enumerate(filters):
-        x = np.asarray(per_num[slot])
-        y = np.asarray(per_mean[slot])
-        xbar, ybar = x.mean(), y.mean()
-        value = xbar / ybar**2
-        count = x.size
-        if count > 1:
-            var_x = np.var(x, ddof=1) / count
-            var_y = np.var(y, ddof=1) / count
-            cov_xy = np.cov(x, y, ddof=1)[0, 1] / count
-            var_g = (var_x / ybar**4
-                     + 4.0 * xbar**2 / ybar**6 * var_y
-                     - 4.0 * xbar / ybar**5 * cov_xy)
-            err = math.sqrt(max(var_g, 0.0))
-        else:
-            err = 0.0
-        rows.append(SweepRow(fwhm=f.fwhm, g2_zero=float(value),
-                             std_error=err, ensemble_size=count))
-    return rows
+        value, err = _ratio_estimate(rows[:, 2 * slot + 1], rows[:, 2 * slot])
+        sweep.append(SweepRow(fwhm=f.fwhm, g2_zero=float(value),
+                              std_error=err, ensemble_size=count))
+    return sweep

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,10 +48,11 @@ class SpectrumEstimate:
     def value_at(self, detuning: float) -> float:
         return float(self.values[_nearest_index(self.grid, detuning)])
 
-    def to_csv(self, path, metadata: dict | None = None) -> None:
-        _write_csv(path, ["detuning", "value", "std_error"],
-                   zip(self.grid, self.values, self.std_errors),
-                   metadata, {"ensemble_size": self.ensemble_size})
+    def to_csv(self, out, metadata: dict | None = None) -> None:
+        """CSV table to `out`, a path or an open text stream."""
+        _write_csv(out, {**(metadata or {}), "ensemble_size": self.ensemble_size},
+                   ["detuning", "value", "std_error"],
+                   _float_cells(zip(self.grid, self.values, self.std_errors)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,11 +72,13 @@ class CorrelationEstimate:
     std_errors: np.ndarray
     ensemble_size: int
 
-    def to_csv(self, path, metadata: dict | None = None) -> None:
+    def to_csv(self, out, metadata: dict | None = None) -> None:
+        """CSV table to `out`, a path or an open text stream."""
         rows = [(k, kp, v.real, v.imag, s) for (k, kp), v, s in
                 zip(self.pairs, self.values, self.std_errors)]
-        _write_csv(path, ["k_detuning", "kprime_detuning", "re", "im", "std_error"],
-                   rows, metadata, {"ensemble_size": self.ensemble_size})
+        _write_csv(out, {**(metadata or {}), "ensemble_size": self.ensemble_size},
+                   ["k_detuning", "kprime_detuning", "re", "im", "std_error"],
+                   _float_cells(rows))
 
 
 @dataclass(frozen=True)
@@ -116,15 +120,24 @@ class StationarityReport:
 # ---------------------------------------------------------------------------
 # helpers
 
-def _write_csv(path, columns, rows, metadata, extra) -> None:
-    meta = dict(metadata or {})
-    meta.update(extra or {})
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+def _write_csv(out, metadata: dict, columns: Sequence[str],
+               rows: Iterable[Sequence[str]]) -> None:
+    """The one CSV layout: sorted `# key=value` metadata lines, a header row,
+    then one line per row of cells the caller has already formatted.  `out`
+    is a path or an open text stream."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", newline="") as fh:
+            _write_csv(fh, metadata, columns, rows)
+        return
+    for key in sorted(metadata):
+        out.write(f"# {key}={metadata[key]}\n")
+    out.write(",".join(columns) + "\n")
+    for row in rows:
+        out.write(",".join(row) + "\n")
+
+
+def _float_cells(rows) -> Iterable[list[str]]:
+    return ([repr(float(x)) for x in row] for row in rows)
 
 
 def detuning_grid(trace: FieldTrace) -> np.ndarray:
@@ -142,13 +155,12 @@ def _nearest_index(grid: np.ndarray, detuning: float) -> int:
     return i
 
 
-def _fft_bin(trace: FieldTrace, detuning: float) -> int:
+def _fft_bin(dt: float, n: int, detuning: float) -> int:
     """Unshifted DFT bin index for an on-grid detuning."""
-    duration = trace.duration
+    duration = n * dt
     l = int(round(detuning * duration / TWO_PI))
     if abs(l * TWO_PI / duration - detuning) > 1e-6 * max(abs(detuning), TWO_PI / duration):
         raise DomainError(f"detuning {detuning:g} is not on the trace grid")
-    n = trace.n_samples
     if not (-(n // 2) <= l <= (n - 1) // 2):
         raise DomainError(f"detuning {detuning:g} beyond the Nyquist band")
     return l % n
@@ -159,14 +171,25 @@ def _amplitude_transform(trace: FieldTrace) -> np.ndarray:
     return math.sqrt(trace.duration) * np.fft.ifft(trace.samples)
 
 
+def _power(trace: FieldTrace) -> np.ndarray:
+    """Single-shot periodogram |u~|^2 in numpy fft ordering."""
+    u = _amplitude_transform(trace)
+    return u.real**2 + u.imag**2
+
+
+def _sorted_estimate(dt: float, values: np.ndarray, std_errors: np.ndarray,
+                     count: int) -> SpectrumEstimate:
+    """SpectrumEstimate from per-bin values in numpy fft ordering."""
+    grid = TWO_PI * np.fft.fftfreq(values.size, d=dt)
+    order = np.argsort(grid)
+    return SpectrumEstimate(grid=grid[order], values=values[order],
+                            std_errors=std_errors[order], ensemble_size=count)
+
+
 def periodogram(trace: FieldTrace) -> SpectrumEstimate:
     """Single-shot periodogram |u~(w)|^2 on the trace's DFT grid."""
-    u = _amplitude_transform(trace)
-    p = u.real**2 + u.imag**2
-    order = np.argsort(TWO_PI * np.fft.fftfreq(trace.n_samples, d=trace.dt))
-    grid = TWO_PI * np.fft.fftfreq(trace.n_samples, d=trace.dt)[order]
-    return SpectrumEstimate(grid=grid, values=p[order],
-                            std_errors=np.zeros_like(p), ensemble_size=1)
+    p = _power(trace)
+    return _sorted_estimate(trace.dt, p, np.zeros_like(p), 1)
 
 
 def _check_same_grid(trace: FieldTrace, dt: float, n: int) -> None:
@@ -174,58 +197,69 @@ def _check_same_grid(trace: FieldTrace, dt: float, n: int) -> None:
         raise DomainError("ensemble traces must share one time grid")
 
 
-def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
-    """Ensemble-averaged periodogram with per-bin Monte Carlo standard errors."""
-    total = None
-    total_sq = None
+RowSetup = Callable[[float, int], Callable[[FieldTrace], Sequence[float]]]
+
+
+def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
+          fold: bool = False) -> tuple[float, int, np.ndarray]:
+    """One pass over an ensemble: the reduction core of every estimator.
+
+    The first trace fixes the time grid (dt, n); every later trace must share
+    it.  `setup(dt, n)` runs once on that grid and returns `row`, which turns
+    one trace into a 1-D row of numbers.  Rows are stacked into a
+    (traces, width) matrix, or with `fold` summed into a (2, width) matrix of
+    sums and sums of squares, so that wide rows (a whole periodogram) are
+    never kept per trace.  Returns (dt, number of traces, matrix).
+    """
+    rows: list | np.ndarray = []
     count = 0
-    dt = n = None
     for trace in traces:
-        if total is None:
+        if count == 0:
             dt, n = trace.dt, trace.n_samples
-            total = np.zeros(n)
-            total_sq = np.zeros(n)
+            row = setup(dt, n)
         else:
             _check_same_grid(trace, dt, n)
-        u = _amplitude_transform(trace)
-        p = u.real**2 + u.imag**2
-        total += p
-        total_sq += p * p
+        values = row(trace)
+        if not fold:
+            rows.append(values)
+        else:
+            if count == 0:
+                rows = np.zeros((2, len(values)))
+            rows[0] += values
+            rows[1] += values * values
         count += 1
-    if count < 2:
-        raise DomainError("spectrum needs at least 2 traces")
+    if count < least:
+        raise DomainError("empty ensemble" if count == 0 else f"need at least {least} traces")
+    return dt, count, np.asarray(rows)
+
+
+def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
+    """Ensemble-averaged periodogram with per-bin Monte Carlo standard errors."""
+    dt, count, (total, total_sq) = _scan(traces, lambda dt, n: _power, least=2, fold=True)
     mean = total / count
     var = np.maximum(total_sq / count - mean**2, 0.0) * count / (count - 1)
-    stderr = np.sqrt(var / count)
-    unsorted_grid = TWO_PI * np.fft.fftfreq(n, d=dt)
-    order = np.argsort(unsorted_grid)
-    return SpectrumEstimate(grid=unsorted_grid[order], values=mean[order],
-                            std_errors=stderr[order], ensemble_size=count)
+    return _sorted_estimate(dt, mean, np.sqrt(var / count), count)
+
+
+def _bin_power(detuning: float) -> RowSetup:
+    def setup(dt: float, n: int):
+        b = _fft_bin(dt, n, detuning)
+        return lambda trace: _power(trace)[b:b + 1]
+    return setup
 
 
 def periodogram_bin_values(traces: Iterable[FieldTrace], detuning: float) -> np.ndarray:
     """Single-shot periodogram value at one detuning bin, per trace."""
-    values = []
-    dt = n = None
-    bin_index = None
-    for trace in traces:
-        if bin_index is None:
-            dt, n = trace.dt, trace.n_samples
-            bin_index = _fft_bin(trace, detuning)
-        else:
-            _check_same_grid(trace, dt, n)
-        u = _amplitude_transform(trace)[bin_index]
-        values.append(u.real**2 + u.imag**2)
-    return np.asarray(values)
+    return _scan(traces, _bin_power(detuning))[2][:, 0]
 
 
-def periodogram_distribution_test(traces: Iterable[FieldTrace], detuning: float,
-                                  significance: float = 1e-3) -> TestReport:
+def periodogram_distribution_test(values, significance: float = 1e-3) -> TestReport:
     """Kolmogorov-Smirnov test of single-shot periodogram values in one bin
-    against an exponential law with mean equal to the ensemble average."""
+    (see periodogram_bin_values) against an exponential law with mean equal
+    to the ensemble average."""
     from scipy import stats
 
-    values = periodogram_bin_values(traces, detuning)
+    values = np.asarray(values, dtype=float)
     if values.size < 1000:
         raise DomainError(f"need >= 1000 traces, got {values.size}")
     mean = float(values.mean())
@@ -242,26 +276,20 @@ def cross_mode_correlation(traces: Iterable[FieldTrace],
     """Ensemble mean of u~(k) u~*(k') for each detuning pair, with standard errors."""
     if not pairs:
         raise DomainError("need at least one detuning pair")
-    products = None
-    dt = n = None
-    bins = None
-    for trace in traces:
-        if products is None:
-            dt, n = trace.dt, trace.n_samples
-            bins = [(_fft_bin(trace, k), _fft_bin(trace, kp)) for k, kp in pairs]
-            products = [[] for _ in pairs]
-        else:
-            _check_same_grid(trace, dt, n)
-        u = _amplitude_transform(trace)
-        for slot, (bk, bkp) in enumerate(bins):
-            products[slot].append(u[bk] * np.conj(u[bkp]))
-    if products is None or len(products[0]) < 2:
-        raise DomainError("need at least 2 traces")
-    count = len(products[0])
-    values = np.array([np.mean(p) for p in products])
+
+    def setup(dt: float, n: int):
+        bins = [(_fft_bin(dt, n, k), _fft_bin(dt, n, kp)) for k, kp in pairs]
+
+        def row(trace):
+            u = _amplitude_transform(trace)
+            return [u[bk] * np.conj(u[bkp]) for bk, bkp in bins]
+        return row
+
+    _, count, products = _scan(traces, setup, least=2)
+    values = np.array([np.mean(p) for p in products.T])
     std_errors = np.array([
         math.sqrt((np.var(np.real(p), ddof=1) + np.var(np.imag(p), ddof=1)) / count)
-        for p in products
+        for p in products.T
     ])
     return CorrelationEstimate(pairs=list(pairs), values=values,
                                std_errors=std_errors, ensemble_size=count)
@@ -285,26 +313,36 @@ def predicted_cross_mode_correlation(nu: float, gamma: float, duration: float,
     return complex(diag - correction)
 
 
+def _window_means(n_windows: int) -> RowSetup:
+    if n_windows < 4:
+        raise DomainError("need n_windows >= 4")
+
+    def setup(dt: float, n: int):
+        if n < n_windows:
+            raise DomainError("trace shorter than n_windows samples")
+        w = n // n_windows
+        return lambda trace: trace.intensity()[: w * n_windows].reshape(n_windows, w).mean(axis=1)
+    return setup
+
+
 def windowed_mean_intensities(traces: Iterable[FieldTrace], n_windows: int) -> np.ndarray:
     """Matrix W[r, w]: mean photon flux of trace r in window w (equal windows,
     trailing remainder dropped)."""
-    if n_windows < 4:
-        raise DomainError("need n_windows >= 4")
-    rows = []
-    dt = n = None
-    for trace in traces:
-        if dt is None:
-            dt, n = trace.dt, trace.n_samples
-            if n < n_windows:
-                raise DomainError("trace shorter than n_windows samples")
-        else:
-            _check_same_grid(trace, dt, n)
-        w = n // n_windows
-        intensity = trace.intensity()[: w * n_windows]
-        rows.append(intensity.reshape(n_windows, w).mean(axis=1))
-    if not rows:
-        raise DomainError("empty ensemble")
-    return np.asarray(rows)
+    return _scan(traces, _window_means(n_windows))[2]
+
+
+def windowed_means_and_carrier_powers(traces: Iterable[FieldTrace],
+                                      n_windows: int) -> tuple[np.ndarray, np.ndarray]:
+    """windowed_mean_intensities(traces, n_windows) and
+    periodogram_bin_values(traces, 0.0) from a single pass over the ensemble."""
+    windows, carrier = _window_means(n_windows), _bin_power(0.0)
+
+    def setup(dt: float, n: int):
+        window_row, carrier_row = windows(dt, n), carrier(dt, n)
+        return lambda trace: np.append(window_row(trace), carrier_row(trace))
+
+    rows = _scan(traces, setup)[2]
+    return np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
 
 
 def _anova_f(W: np.ndarray) -> float:
@@ -319,10 +357,10 @@ def _anova_f(W: np.ndarray) -> float:
     return (ss_between / (k - 1)) / (ss_within / (k * (r - 1)))
 
 
-def stationarity_test(traces: Iterable[FieldTrace], n_windows: int,
-                      significance: float = 1e-3, n_permutations: int = 4999,
+def stationarity_test(W, significance: float = 1e-3, n_permutations: int = 4999,
                       permutation_seed: int = 20210607) -> StationarityReport:
-    """Windowed-intensity stationarity diagnostic.
+    """Windowed-intensity stationarity diagnostic on the (traces, windows)
+    matrix W of windowed_mean_intensities.
 
     Part 1 (position homogeneity): one-way ANOVA F across window positions,
     null distribution by permuting window labels within each trace.
@@ -331,7 +369,9 @@ def stationarity_test(traces: Iterable[FieldTrace], n_windows: int,
     (two-sided).  A mixture of pulses has a deterministic per-trace total flux
     and lands in the far left tail of part 2.
     """
-    W = windowed_mean_intensities(traces, n_windows)
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] < 4:
+        raise DomainError("W must be a (traces, windows) matrix with >= 4 windows")
     r, k = W.shape
     if r < 8:
         raise DomainError("need at least 8 traces")
@@ -365,40 +405,6 @@ def stationarity_test(traces: Iterable[FieldTrace], n_windows: int,
     passed = (p_position > significance) and (p_independence > significance)
     return StationarityReport(f_obs, p_position, d_obs, p_independence,
                               passed, significance, r, k)
-
-
-def autocorrelation(traces: Iterable[FieldTrace], lag_indices: Sequence[int]):
-    """Direct lag correlation E[alpha*(t) alpha(t+tau)] at tau = lag * dt.
-
-    Returns (lags_seconds, complex values, std_errors, ensemble_size); the
-    time average runs over each trace, the error over the ensemble scatter.
-    """
-    lag_indices = list(lag_indices)
-    per_trace = [[] for _ in lag_indices]
-    dt = n = None
-    for trace in traces:
-        if dt is None:
-            dt, n = trace.dt, trace.n_samples
-            if max(lag_indices) >= n:
-                raise DomainError("lag exceeds trace length")
-        else:
-            _check_same_grid(trace, dt, n)
-        s = trace.samples
-        for slot, lag in enumerate(lag_indices):
-            if lag == 0:
-                per_trace[slot].append(np.mean(s.real**2 + s.imag**2) + 0.0j)
-            else:
-                per_trace[slot].append(np.mean(np.conj(s[:-lag]) * s[lag:]))
-    count = len(per_trace[0])
-    if count < 2:
-        raise DomainError("need at least 2 traces")
-    values = np.array([np.mean(p) for p in per_trace])
-    std_errors = np.array([
-        math.sqrt((np.var(np.real(p), ddof=1) + np.var(np.imag(p), ddof=1)) / count)
-        for p in per_trace
-    ])
-    lags = np.asarray(lag_indices) * dt
-    return lags, values, std_errors, count
 
 
 def estimate_fwhm(est: SpectrumEstimate, smooth_bins: int = 1) -> float:

@@ -52,20 +52,32 @@ def trace_to_bytes(trace: FieldTrace) -> bytes:
 
 
 def trace_from_bytes(data: bytes) -> FieldTrace:
+    if len(data) < 12:
+        raise ConfigurationError(f"trace record of {len(data)} bytes is shorter than "
+                                 "its 12-byte preamble")
     if data[:4] != MAGIC:
         raise ConfigurationError("not a trace record (bad magic)")
     version, hlen = struct.unpack("<II", data[4:12])
     if version != VERSION:
         raise ConfigurationError(f"unsupported trace format version {version}")
-    header = json.loads(data[12:12 + hlen].decode("utf-8"))
+    if len(data) < 12 + hlen:
+        raise ConfigurationError(f"trace header truncated: {len(data) - 12} of {hlen} bytes")
+    try:
+        header = json.loads(data[12:12 + hlen].decode("utf-8"))
+        n = header["n_samples"]
+        model = BeamModelSpec(**header["model"])
+        dt, seed, index = header["dt"], header["master_seed"], header["trace_index"]
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"trace header is not UTF-8 JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigurationError(f"trace header lacks a required key: {exc}") from exc
+    except TypeError as exc:  # header or its model is not a mapping of the expected keys
+        raise ConfigurationError(f"trace header malformed: {exc}") from exc
     payload = np.frombuffer(data[12 + hlen:], dtype="<f8")
-    n = header["n_samples"]
     if payload.size != 2 * n:
         raise ConfigurationError(f"payload length {payload.size} != 2 * {n}")
     samples = payload[0::2] + 1j * payload[1::2]
-    model = BeamModelSpec(**header["model"])
-    return FieldTrace(samples=samples, dt=header["dt"], model=model,
-                      master_seed=header["master_seed"], trace_index=header["trace_index"])
+    return FieldTrace(samples=samples, dt=dt, model=model, master_seed=seed, trace_index=index)
 
 
 def write_trace(trace: FieldTrace, path: PathLike) -> None:
@@ -73,7 +85,10 @@ def write_trace(trace: FieldTrace, path: PathLike) -> None:
 
 
 def read_trace(path: PathLike) -> FieldTrace:
-    return trace_from_bytes(Path(path).read_bytes())
+    try:
+        return trace_from_bytes(Path(path).read_bytes())
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def write_trace_csv(trace: FieldTrace, path: PathLike) -> None:

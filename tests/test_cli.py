@@ -131,6 +131,14 @@ class TestSpectrum:
     def test_empty_input_dir(self, tmp_path):
         assert run("spectrum", "--in", str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("record", [b"FTRC\x01", b"FTRC\x01\x00\x00\x00\x01\x00\x00\x00\xff"])
+    def test_corrupt_trace_file(self, tmp_path, capsys, record):
+        (tmp_path / "bad.ftrc").write_bytes(record)
+        assert run("spectrum", "--in", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "bad.ftrc: trace" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ("spectrum", "--family", "laser", "--nu", "100", "--gamma", "1",
                 "--dt", "0.01", "--duration", "20", "--traces", "3", "--seed", "5")
@@ -160,6 +168,13 @@ class TestG2Command:
         body = json.loads(path.read_text())
         assert 1.0 < body["g2"]["values"][0] < 4.0
 
+    @pytest.mark.parametrize("taus", ["0,-0.01", "0,nan"])
+    def test_negative_or_nan_tau_exit_code(self, capsys, taus):
+        assert run("g2", "--family", "thermal", "--nu", "100", "--gamma", "1",
+                   "--dt", "0.01", "--duration", "20", "--traces", "2",
+                   "--seed", "3", "--taus", taus) == 3
+        assert "finite and >= 0" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -172,6 +187,15 @@ class TestConfigFile:
         text = path.read_text()
         assert "# traces=6" in text       # flag wins
         assert "# seed=9" in text         # config fills the rest
+
+    def test_in_key_is_the_flag_name(self, tmp_path):
+        run_dir = tmp_path / "run"
+        assert run(*TestSimulate.ARGS, "--out", str(run_dir)) == 0
+        cfg = tmp_path / "in.cfg"
+        cfg.write_text(f"in={run_dir}\n")
+        path = tmp_path / "spec.csv"
+        assert run("spectrum", "--config", str(cfg), "--out", str(path)) == 0
+        assert "# ensemble_size=3" in path.read_text()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -25,6 +25,8 @@ from beamsim.spectral import estimate_fwhm, spectrum
 
 THERMAL = BeamModelSpec(family="thermal", nu=100.0, gamma=1.0)
 LASER = BeamModelSpec(family="laser", nu=100.0, gamma=1.0)
+KSPACE = BeamModelSpec(family="kspace_product", nu=100.0, gamma=1.0)
+PERIODIC = BeamModelSpec(family="periodic_thermal", nu=100.0, gamma=1.0)
 
 
 class TestModelSpec:
@@ -182,8 +184,8 @@ class TestJitteredLaser:
 
 class TestKSpaceProduct:
     def test_mode_moduli_are_deterministic(self):
-        a = gen_kspace_product_field(100.0, 1.0, 0.01, 4000, 1, trace_index=0)
-        b = gen_kspace_product_field(100.0, 1.0, 0.01, 4000, 1, trace_index=1)
+        a = gen_kspace_product_field(KSPACE, 0.01, 4000, 1, trace_index=0)
+        b = gen_kspace_product_field(KSPACE, 0.01, 4000, 1, trace_index=1)
         assert not np.array_equal(a.samples, b.samples)
         mod_a = np.abs(np.fft.ifft(a.samples))
         mod_b = np.abs(np.fft.ifft(b.samples))
@@ -192,17 +194,17 @@ class TestKSpaceProduct:
     def test_total_flux_matches_cw_value(self):
         # per-trace total flux is deterministic; the Lorentzian mode sum
         # approaches nu Gamma / 4 as the grid refines
-        trace = gen_kspace_product_field(100.0, 1.0, 0.01, 40000, 1)
+        trace = gen_kspace_product_field(KSPACE, 0.01, 40000, 1)
         assert trace.intensity().mean() == pytest.approx(25.0, rel=0.01)
 
     def test_duration_bound(self):
         with pytest.raises(ConfigurationError):
-            gen_kspace_product_field(100.0, 1.0, 0.01, 500, 1)
+            gen_kspace_product_field(KSPACE, 0.01, 500, 1)
 
 
 class TestPeriodicThermal:
     def test_exact_periodicity(self):
-        trace = gen_periodic_thermal_field(100.0, 1.0, 0.01, 4000, 3)
+        trace = gen_periodic_thermal_field(PERIODIC, 0.01, 4000, 3)
         modes = np.fft.ifft(trace.samples)
         # wrapped continuation alpha(t_n) equals alpha(t_0) because every
         # mode phase advances by an exact multiple of 2 pi over the record

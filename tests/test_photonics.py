@@ -98,6 +98,11 @@ class TestG2:
         with pytest.raises(DomainError):
             g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0137])
 
+    @pytest.mark.parametrize("tau", [-0.01, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_tau(self, tau):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0, tau])
+
 
 class TestPhotonCounts:
     def test_laser_fano_is_one(self):

@@ -24,6 +24,7 @@ from beamsim.spectral import (
     spectrum,
     stationarity_test,
     windowed_mean_intensities,
+    windowed_means_and_carrier_powers,
 )
 
 THERMAL = BeamModelSpec(family="thermal", nu=100.0, gamma=1.0)
@@ -136,15 +137,15 @@ class TestSpectrum:
 
 class TestPeriodogramDistribution:
     def test_thermal_exponential_law(self):
-        report = periodogram_distribution_test(
-            generate_ensemble(THERMAL, 0.01, 2000, 5, 1500), detuning=0.0)
+        report = periodogram_distribution_test(periodogram_bin_values(
+            generate_ensemble(THERMAL, 0.01, 2000, 5, 1500), detuning=0.0))
         assert report.passed
         assert report.p_value > 1e-3
 
     def test_kspace_product_fails(self):
         model = BeamModelSpec(family="kspace_product", nu=100.0, gamma=1.0)
-        report = periodogram_distribution_test(
-            generate_ensemble(model, 0.01, 2000, 5, 1500), detuning=0.0)
+        report = periodogram_distribution_test(periodogram_bin_values(
+            generate_ensemble(model, 0.01, 2000, 5, 1500), detuning=0.0))
         assert not report.passed
         # per-mode modulus is deterministic, so the bin value is constant
         values = periodogram_bin_values(
@@ -153,8 +154,8 @@ class TestPeriodogramDistribution:
 
     def test_requires_1000_traces(self):
         with pytest.raises(DomainError):
-            periodogram_distribution_test(
-                generate_ensemble(THERMAL, 0.01, 2000, 5, 999), detuning=0.0)
+            periodogram_distribution_test(periodogram_bin_values(
+                generate_ensemble(THERMAL, 0.01, 2000, 5, 999), detuning=0.0))
 
     def test_off_grid_detuning_rejected(self):
         with pytest.raises(DomainError):
@@ -245,21 +246,21 @@ class TestWienerKhinchin:
 
 class TestStationarity:
     def test_thermal_passes(self):
-        report = stationarity_test(
-            generate_ensemble(THERMAL, 0.01, 10000, 101, 100), n_windows=8)
+        report = stationarity_test(windowed_mean_intensities(
+            generate_ensemble(THERMAL, 0.01, 10000, 101, 100), n_windows=8))
         assert report.passed
         assert report.p_value > 1e-3
 
     def test_laser_passes_trivially(self):
-        report = stationarity_test(
-            generate_ensemble(LASER, 0.01, 10000, 101, 100), n_windows=8)
+        report = stationarity_test(windowed_mean_intensities(
+            generate_ensemble(LASER, 0.01, 10000, 101, 100), n_windows=8))
         assert report.passed
         assert report.p_value == 1.0  # constant intensity
 
     def test_kspace_product_fails(self):
         model = BeamModelSpec(family="kspace_product", nu=100.0, gamma=1.0)
-        report = stationarity_test(
-            generate_ensemble(model, 0.01, 10000, 101, 100), n_windows=8)
+        report = stationarity_test(windowed_mean_intensities(
+            generate_ensemble(model, 0.01, 10000, 101, 100), n_windows=8))
         assert not report.passed
         # the deterministic per-trace total flux lands in the far left tail
         # of the window-independence null
@@ -267,9 +268,23 @@ class TestStationarity:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            stationarity_test(generate_ensemble(THERMAL, 0.01, 2000, 1, 10), n_windows=3)
+            stationarity_test(windowed_mean_intensities(
+                generate_ensemble(THERMAL, 0.01, 2000, 1, 10), n_windows=3))
         with pytest.raises(DomainError):
-            stationarity_test(generate_ensemble(THERMAL, 0.01, 2000, 1, 4), n_windows=8)
+            stationarity_test(windowed_mean_intensities(
+                generate_ensemble(THERMAL, 0.01, 2000, 1, 4), n_windows=8))
+
+    def test_window_matrix_needs_four_windows(self):
+        with pytest.raises(DomainError):
+            stationarity_test(np.ones((10, 3)))
+
+    def test_single_pass_matches_separate_reductions(self):
+        def ensemble():
+            return generate_ensemble(THERMAL, 0.01, 2000, 1, 10)
+
+        W, carrier = windowed_means_and_carrier_powers(ensemble(), 8)
+        assert np.array_equal(W, windowed_mean_intensities(ensemble(), 8))
+        assert np.array_equal(carrier, periodogram_bin_values(ensemble(), 0.0))
 
     def test_windowed_matrix_shape(self):
         W = windowed_mean_intensities(generate_ensemble(THERMAL, 0.01, 2000, 1, 10), 8)

@@ -1,5 +1,8 @@
 """Unit tests for trace serialization."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,18 @@ from beamsim.traceio import (
 def make_trace(family="thermal", **kwargs):
     model = BeamModelSpec(family=family, nu=100.0, gamma=1.0, **kwargs)
     return generate_trace(model, 0.01, 2000, 42, trace_index=5)
+
+
+def without_header_key(data: bytes, *path: str) -> bytes:
+    """Re-encode a record with the header entry at `path` deleted."""
+    (hlen,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12:12 + hlen])
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    raw = json.dumps(header).encode("utf-8")
+    return data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + hlen:]
 
 
 class TestRoundTrip:
@@ -65,6 +80,37 @@ class TestValidation:
         data = trace_to_bytes(make_trace())
         with pytest.raises(ConfigurationError):
             trace_from_bytes(data[:-16])
+
+    def test_record_shorter_than_preamble(self):
+        with pytest.raises(ConfigurationError, match="12-byte preamble"):
+            trace_from_bytes(b"FTRC\x01")
+
+    def test_truncated_header(self):
+        with pytest.raises(ConfigurationError, match="header truncated"):
+            trace_from_bytes(trace_to_bytes(make_trace())[:20])
+
+    def test_header_not_utf8_json(self):
+        data = bytearray(trace_to_bytes(make_trace()))
+        data[12] = 0xFF
+        with pytest.raises(ConfigurationError, match="not UTF-8 JSON"):
+            trace_from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("key", ["dt", "n_samples", "model"])
+    def test_header_missing_key(self, key):
+        data = without_header_key(trace_to_bytes(make_trace()), key)
+        with pytest.raises(ConfigurationError, match=f"lacks a required key: '{key}'"):
+            trace_from_bytes(data)
+
+    def test_model_lacks_a_field(self):
+        data = without_header_key(trace_to_bytes(make_trace()), "model", "family")
+        with pytest.raises(ConfigurationError, match="malformed"):
+            trace_from_bytes(data)
+
+    def test_read_trace_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.ftrc"
+        path.write_bytes(b"FTRC\x01")
+        with pytest.raises(ConfigurationError, match="bad.ftrc"):
+            read_trace(path)
 
 
 class TestCsv:
