@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigurationError, DomainError
 from . import radiometry
-from .fieldgen import FAMILIES, BeamModelSpec, generate_ensemble
+from .fieldgen import FAMILIES, BeamModelSpec, Ensemble, generate_ensemble
 from .photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
 from .spectral import (
     _write_csv,
@@ -80,9 +80,13 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
             continue
         conv = action.type or str
         try:
-            setattr(args, action.dest, conv(raw))
+            value = conv(raw)
         except ValueError as exc:
             raise ConfigurationError(f"config key {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ConfigurationError(f"config key {key!r}: invalid choice {raw!r} "
+                                     f"(choose from {', '.join(map(str, action.choices))})")
+        setattr(args, action.dest, value)
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -142,7 +146,7 @@ def _ensemble_from_args(args: argparse.Namespace):
         paths = sorted(Path(args.in_dir).glob("*.ftrc"))
         if not paths:
             raise ConfigurationError(f"no .ftrc traces under {args.in_dir}")
-        return (read_trace(p) for p in paths)
+        return Ensemble(lambda i: read_trace(paths[i]), range(len(paths)))
     model = _model_from_args(args)
     dt, n = _grid_from_args(args)
     _require(args, "seed", "traces")

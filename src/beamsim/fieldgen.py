@@ -16,10 +16,11 @@ periodic_thermal independent complex-Gaussian frequency modes (exactly periodic)
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.signal import lfilter
@@ -291,10 +292,37 @@ def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     return _GENERATORS[model.family](model, dt, n, master_seed, trace_index)
 
 
+class Ensemble:
+    """Iterator over `make(i)` for each trace index i in `indices`, in order.
+
+    Each trace depends only on its index, so a consumer may instead take the
+    indices not yet pulled (`take_rest`) and call `make` itself, on any thread
+    and in any order.
+    """
+
+    def __init__(self, make: Callable[[int], FieldTrace], indices: range):
+        self.make = make
+        self._rest = indices
+
+    def __iter__(self) -> "Ensemble":
+        return self
+
+    def __next__(self) -> FieldTrace:
+        if not self._rest:
+            raise StopIteration
+        index, self._rest = self._rest[0], self._rest[1:]
+        return self.make(index)
+
+    def take_rest(self) -> range:
+        """The indices not yet pulled; the iterator is exhausted afterwards."""
+        rest, self._rest = self._rest, self._rest[:0]
+        return rest
+
+
 def generate_ensemble(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                      n_traces: int, start_index: int = 0) -> Iterator[FieldTrace]:
+                      n_traces: int, start_index: int = 0) -> Ensemble:
     """Lazily generate n_traces independent traces with consecutive trace indices."""
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
-    for i in range(start_index, start_index + n_traces):
-        yield generate_trace(model, dt, n, master_seed, i)
+    return Ensemble(functools.partial(generate_trace, model, dt, n, master_seed),
+                    range(start_index, start_index + n_traces))

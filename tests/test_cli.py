@@ -207,6 +207,18 @@ class TestConfigFile:
         cfg.write_text("this is not a key value pair\n")
         assert run("spectrum", "--config", str(cfg)) == 3
 
+    @pytest.mark.parametrize("line", ["format=xml", "family=bogus"])
+    def test_value_outside_choices(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("family=laser\nnu=100\ngamma=1\ndt=0.01\n"
+                       f"duration=20\ntraces=4\nseed=9\n{line}\n")
+        path = tmp_path / "spec.csv"
+        assert run("spectrum", "--config", str(cfg), "--out", str(path)) == 3
+        assert not path.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid choice" in err
+
 
 class TestSweepCommand:
     def test_small_sweep_table(self, tmp_path):

@@ -1,0 +1,186 @@
+"""The pooled ensemble scan: the same numbers for any worker count, errors
+where the serial scan raises them, and no task left behind."""
+
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from beamsim import spectral
+from beamsim.errors import DomainError
+from beamsim.fieldgen import BeamModelSpec, Ensemble, generate_ensemble, generate_trace
+from beamsim.photonics import filtered_laser_sweep, g2
+from beamsim.spectral import (
+    cross_mode_correlation,
+    spectrum,
+    windowed_means_and_carrier_powers,
+)
+
+THERMAL = BeamModelSpec(family="thermal", nu=100.0, gamma=1.0)
+JITTERED = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
+                         jitter_band=5.0, jitter_corr_time=1.5)
+DT, N, TRACES, SEED = 0.01, 2000, 12, 7
+STEP = 2.0 * math.pi / (N * DT)   # DFT grid spacing
+
+
+def estimates(traces_of):
+    """Every pooled estimator's output; `traces_of()` makes a fresh ensemble."""
+    sweep = filtered_laser_sweep(JITTERED, [100.0, 1.0], DT, 2 * N, SEED, TRACES)
+    spec = spectrum(traces_of())
+    corr = cross_mode_correlation(traces_of(), [(0.0, 0.0), (STEP, STEP), (0.0, STEP)])
+    g = g2(traces_of(), [0.0, 0.1, 0.5], burn_in=1.0)
+    windows, carrier = windowed_means_and_carrier_powers(traces_of(), 8)
+    return [spec.values, spec.std_errors, corr.values, corr.std_errors,
+            g.values, g.std_errors, windows, carrier,
+            [(r.g2_zero, r.std_error) for r in sweep]]
+
+
+def assert_bitwise_equal(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(np.asarray(x), np.asarray(y), strict=True)
+
+
+@pytest.fixture(autouse=True)
+def pool_small_traces(monkeypatch):
+    """Pool the small traces of these tests too."""
+    monkeypatch.setattr(spectral, "_MIN_POOLED_BYTES", 0)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads often, so that an unordered fold would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture(scope="module")
+def serial():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_IN_FLIGHT_BYTES", 0)
+        return estimates(lambda: generate_ensemble(THERMAL, DT, N, SEED, TRACES))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("source", ["ensemble", "list"])
+def test_bit_identical_for_any_worker_count(serial, monkeypatch, fast_switching,
+                                             workers, source):
+    monkeypatch.setattr(spectral, "_WORKERS", workers)
+    if source == "ensemble":
+        pooled = estimates(lambda: generate_ensemble(THERMAL, DT, N, SEED, TRACES))
+    else:
+        traces = list(generate_ensemble(THERMAL, DT, N, SEED, TRACES))
+        pooled = estimates(lambda: iter(traces))
+    assert_bitwise_equal(pooled, serial)
+
+
+@pytest.mark.parametrize("constant, value", [("_IN_FLIGHT_BYTES", 2 * 16 * N - 1),
+                                              ("_MIN_POOLED_BYTES", 16 * N + 1)])
+def test_traces_outside_the_byte_bounds_run_serially(monkeypatch, constant, value):
+    def no_pool(workers):
+        raise AssertionError("the pool was used")
+
+    monkeypatch.setattr(spectral, "_executor", no_pool)
+    monkeypatch.setattr(spectral, constant, value)
+    est = spectrum(generate_ensemble(THERMAL, DT, N, SEED, TRACES))
+    assert est.ensemble_size == TRACES
+
+
+class RecordingExecutor(ThreadPoolExecutor):
+    def __init__(self):
+        super().__init__(max_workers=2)
+        self.futures = []
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+def pooled_error(monkeypatch, make_traces):
+    """The exception of spectrum(make_traces()) on a recording pool, and
+    whether every task it submitted had finished when it surfaced."""
+    pool = RecordingExecutor()
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_executor", lambda workers: pool)
+    try:
+        with pytest.raises(DomainError) as pooled:
+            spectrum(make_traces())
+        settled = [f.done() for f in pool.futures]
+    finally:
+        pool.shutdown()
+    with monkeypatch.context() as mp, pytest.raises(DomainError) as serial:
+        mp.setattr(spectral, "_IN_FLIGHT_BYTES", 0)
+        spectrum(make_traces())
+    assert len(pool.futures) > 2
+    return str(pooled.value), str(serial.value), all(settled)
+
+
+@pytest.mark.parametrize("k", [1, 5, TRACES - 1])
+def test_mismatched_grid_raises_like_the_serial_scan(monkeypatch, k):
+    def traces():
+        for i in range(TRACES):
+            yield generate_trace(THERMAL, DT, N + (i == k), SEED, i)
+
+    pooled, serial, settled = pooled_error(monkeypatch, traces)
+    assert pooled == serial == "ensemble traces must share one time grid"
+    assert settled
+
+
+def test_earliest_error_wins(monkeypatch):
+    """A generation error at trace 6 comes after a grid mismatch at trace 5,
+    whether the scan generates the traces or pulls them."""
+    def make(i):
+        if i == 6:
+            raise DomainError("generation failed")
+        return generate_trace(THERMAL, DT, N + (i == 5), SEED, i)
+
+    for traces in (lambda: Ensemble(make, range(TRACES)),
+                   lambda: (make(i) for i in range(TRACES))):
+        pooled, serial, settled = pooled_error(monkeypatch, traces)
+        assert pooled == serial == "ensemble traces must share one time grid"
+        assert settled
+
+
+def test_generation_error_raises_like_the_serial_scan(monkeypatch):
+    def make(i):
+        if i == 7:
+            raise DomainError(f"trace {i} failed")
+        return generate_trace(THERMAL, DT, N, SEED, i)
+
+    pooled, serial, settled = pooled_error(monkeypatch, lambda: Ensemble(make, range(TRACES)))
+    assert pooled == serial == "trace 7 failed"
+    assert settled
+
+
+def test_generate_ensemble_is_an_iterator():
+    traces = generate_ensemble(THERMAL, DT, N, SEED, 3, start_index=4)
+    first = next(traces)
+    assert first.trace_index == 4
+    np.testing.assert_array_equal(first.samples,
+                                  generate_trace(THERMAL, DT, N, SEED, 4).samples)
+    assert [t.trace_index for t in traces] == [5, 6]
+    assert list(traces) == []
+
+
+def test_partly_consumed_ensemble_scans_the_rest():
+    traces = generate_ensemble(THERMAL, DT, N, SEED, TRACES)
+    next(traces)
+    rest = spectrum(traces)
+    expected = spectrum(generate_ensemble(THERMAL, DT, N, SEED, TRACES - 1, start_index=1))
+    assert rest.ensemble_size == TRACES - 1
+    np.testing.assert_array_equal(rest.values, expected.values)
+
+
+def test_coarse_jitter_warning_from_every_trace():
+    model = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
+                          jitter_band=20.0, jitter_corr_time=1.5)
+    with pytest.warns(UserWarning, match="jitter phase steps are coarse") as record:
+        spectrum(generate_ensemble(model, DT, N, SEED, TRACES))
+    assert len(record) == TRACES

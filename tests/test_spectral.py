@@ -14,6 +14,7 @@ from beamsim.fieldgen import (
 )
 from beamsim.spectral import (
     SpectrumEstimate,
+    _anova_f,
     cross_mode_correlation,
     detuning_grid,
     estimate_fwhm,
@@ -290,6 +291,41 @@ class TestStationarity:
         W = windowed_mean_intensities(generate_ensemble(THERMAL, 0.01, 2000, 1, 10), 8)
         assert W.shape == (10, 8)
         assert np.all(W >= 0.0)
+
+    @staticmethod
+    def reference_counts(W, n_permutations, seed):
+        """The permutation loop written out: F per permutation, columns
+        shuffled in place; returns (f_ge, d_ge, d_le)."""
+        rng = np.random.default_rng(seed)
+        f_obs = _anova_f(W)
+        d_obs = float(np.var(W.mean(axis=1), ddof=1))
+        f_ge = d_ge = d_le = 0
+        for _ in range(n_permutations):
+            f_ge += _anova_f(rng.permuted(W, axis=1)) >= f_obs
+            d_star = float(np.var(rng.permuted(W, axis=0).mean(axis=1), ddof=1))
+            d_ge += d_star >= d_obs
+            d_le += d_star <= d_obs
+        return f_ge, d_ge, d_le
+
+    @pytest.mark.parametrize("case", ["thermal", "kspace_product", "ties", "flat_columns",
+                                      "flat_rows"])
+    def test_matches_the_reference_loop(self, case):
+        rng = np.random.default_rng(3)
+        if case in ("thermal", "kspace_product"):
+            model = BeamModelSpec(family=case, nu=100.0, gamma=1.0)
+            W = windowed_mean_intensities(generate_ensemble(model, 0.01, 2000, 5, 200), 8)
+        elif case == "ties":
+            W = rng.integers(0, 3, (40, 8)).astype(float)
+        elif case == "flat_columns":   # F = 0: every permutation counts
+            W = np.tile(rng.random(8), (20, 1))
+        else:
+            W = np.tile(rng.random((20, 1)), (1, 8))
+        n_perm, seed = 499, 11
+        f_ge, d_ge, d_le = self.reference_counts(W, n_perm, seed)
+        report = stationarity_test(W, n_permutations=n_perm, permutation_seed=seed)
+        assert report.p_position == (1 + f_ge) / (n_perm + 1)
+        assert report.p_independence == min(1.0, 2.0 * min(1 + d_ge, 1 + d_le) / (n_perm + 1))
+        assert report.position_statistic == _anova_f(W)
 
 
 class TestEstimateFwhm:
