@@ -232,7 +232,8 @@ def cmd_g2(args: argparse.Namespace) -> int:
         filt = FilterSpec(center_detuning=args.filter_center, fwhm=args.filter_fwhm)
         if burn_in is None:
             burn_in = filt.suggested_burn_in()
-        traces = (apply_filter(t, filt) for t in traces)
+        make = traces.make   # generate and filter each trace on the scan's pool
+        traces = Ensemble(lambda i: apply_filter(make(i), filt), traces.take_rest())
     if burn_in is None:
         burn_in = 0.0
     tau_grid = [float(x) for x in args.taus.split(",")]
@@ -297,11 +298,12 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser construction
 
-def _add_common(sub: argparse.ArgumentParser, *, model: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, model: bool = True,
+                formats: tuple[str, ...] = ("csv", "json")) -> None:
     sub.add_argument("--config", type=str, default=None,
                      help="key=value config file; explicit flags override")
     sub.add_argument("--out", type=str, default=None, help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=formats, default="csv")
     if model:
         sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
         sub.add_argument("--traces", type=int, default=None, help="ensemble size")
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_blackbody, parser=p)
 
     p = subs.add_parser("simulate", help="generate and store an ensemble of traces")
-    _add_common(p)
+    _add_common(p, formats=("csv",))   # .ftrc traces and run.json; nothing to choose
     p.add_argument("--family", choices=FAMILIES, default=None)
     p.add_argument("--jitter-band", type=float, default=0.0, help="Delta omega, rad/s")
     p.add_argument("--jitter-corr-time", type=float, default=None, help="s")

@@ -23,9 +23,21 @@ from .fieldgen import (
     trace_rng,
     _CHANNEL_COUNTS,
 )
-from .spectral import _float_cells, _scan, _write_csv
+from .spectral import _branches_in_flight, _float_cells, _ordered_map, _scan, _write_csv
 
 TWO_PI = 2.0 * math.pi
+
+if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+    def _fft_in_place(a: np.ndarray) -> np.ndarray:
+        """Forward DFT of a complex128 array, computed in the array's buffer."""
+        return np.fft.fft(a, out=a)
+else:
+    # numpy < 2.0 has no out=; scipy's in-place transform gives the same
+    # numbers but keeps twice the scratch memory on a pool worker
+    import scipy.fft
+
+    def _fft_in_place(a: np.ndarray) -> np.ndarray:
+        return scipy.fft.fft(a, overwrite_x=True)
 
 
 @dataclass(frozen=True)
@@ -46,6 +58,14 @@ class FilterSpec:
         half = self.fwhm / 2.0
         return half / (half - 1j * (np.asarray(omega, dtype=float) - self.center_detuning))
 
+    def check_resolvable(self, dt: float) -> None:
+        """Reject a filter too wide for a grid of spacing dt (fwhm >= pi/dt)."""
+        if self.fwhm >= math.pi / dt:
+            raise ConfigurationError(
+                f"filter fwhm {self.fwhm:g} not resolvable on a grid with dt={dt:g} "
+                f"(need fwhm < pi/dt = {math.pi / dt:g})"
+            )
+
     def suggested_burn_in(self) -> float:
         """Analysis margin covering the filter transient, 10/fwhm seconds."""
         return 10.0 / self.fwhm
@@ -53,11 +73,7 @@ class FilterSpec:
 
 def apply_filter(trace: FieldTrace, filt: FilterSpec) -> FieldTrace:
     """Multiply the trace's frequency components by the filter's amplitude response."""
-    if filt.fwhm >= math.pi / trace.dt:
-        raise ConfigurationError(
-            f"filter fwhm {filt.fwhm:g} not resolvable on a grid with dt={trace.dt:g} "
-            f"(need fwhm < pi/dt = {math.pi / trace.dt:g})"
-        )
+    filt.check_resolvable(trace.dt)
     omega = TWO_PI * np.fft.fftfreq(trace.n_samples, d=trace.dt)
     modes = np.fft.ifft(trace.samples) * filt.amplitude_response(omega)
     return FieldTrace(samples=np.fft.fft(modes), dt=trace.dt, model=trace.model,
@@ -222,30 +238,41 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
 
     Each trace is transformed once; every filter reuses the transform.  The
     per-filter burn-in is max(10/fwhm, 10/Gamma) and must leave at least half
-    of the trace for analysis.
+    of the trace for analysis.  Traces too large for the scan to pool spread
+    their filters over the pool instead (`spectral._branches_in_flight`).
     """
     filters = [FilterSpec(center_detuning=center_detuning, fwhm=f) for f in fwhm_list]
     burns = [max(f.suggested_burn_in(), 10.0 / model.gamma) for f in filters]
     for f, burn in zip(filters, burns):
-        if f.fwhm >= math.pi / dt:
-            raise ConfigurationError(f"filter fwhm {f.fwhm:g} not resolvable at dt={dt:g}")
+        f.check_resolvable(dt)
         if burn > 0.5 * n * dt:
             raise ConfigurationError(
                 f"trace too short for fwhm={f.fwhm:g}: burn-in {burn:g} exceeds half the duration"
             )
     omega = TWO_PI * np.fft.fftfreq(n, d=dt)
     responses = [f.amplitude_response(omega) for f in filters]
+    del omega
     skips = [int(round(b / dt)) for b in burns]
+    window = _branches_in_flight(n)
+
+    def moments(branch):
+        # time-mean intensity and time-mean squared intensity past the
+        # burn-in, computed in the buffer of the filtered modes
+        filtered, skip = branch
+        filtered = _fft_in_place(filtered)
+        re, im = filtered.real[skip:], filtered.imag[skip:]
+        np.square(re, out=re)
+        np.square(im, out=im)
+        re += im
+        mean = re.mean()
+        np.square(re, out=re)
+        return mean, re.mean()
 
     def row(trace):
-        # per filter: time-mean intensity and time-mean squared intensity
         modes = np.fft.ifft(trace.samples)
-        out = []
-        for resp, skip in zip(responses, skips):
-            filtered = np.fft.fft(modes * resp)
-            intensity = (filtered.real**2 + filtered.imag**2)[skip:]
-            out += [intensity.mean(), np.mean(intensity * intensity)]
-        return out
+        # each product is allocated here, one branch at a time, as it is pulled
+        branches = ((modes * resp, skip) for resp, skip in zip(responses, skips))
+        return [m for pair in _ordered_map(moments, branches, window) for m in pair]
 
     _, count, rows = _scan(generate_ensemble(model, dt, n, master_seed, n_traces),
                            lambda dt, n: row)

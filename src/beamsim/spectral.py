@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import closing
@@ -224,20 +225,40 @@ def _in_flight(n: int) -> int:
     return min(2 * _WORKERS, _IN_FLIGHT_BYTES // (16 * n))
 
 
+def _branches_in_flight(n: int) -> int:
+    """Independent branches of one row of an n-sample trace to keep in
+    flight: one per worker when the scan is serial because two such traces
+    do not fit in the byte cap; else 1 (the branches run serially)."""
+    if 16 * n >= _MIN_POOLED_BYTES and _IN_FLIGHT_BYTES // (16 * n) < 2:
+        return _WORKERS
+    return 1
+
+
+# Set on the pool's own threads: a row running there must not wait on tasks
+# queued behind it on the same pool.
+_on_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _on_worker.active = True
+
+
 @functools.cache
 def _executor(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="beamsim-scan")
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="beamsim-scan",
+                              initializer=_mark_worker)
 
 
 def _ordered_map(fn: Callable, items: Iterable, window: int) -> Iterator:
     """fn(item) for each item, in order, with up to `window` calls in flight
-    on the shared pool (serially for a window below 2).
+    on the shared pool (serially for a window below 2, or when called from
+    a pool worker).
 
     An exception, raised by fn or by pulling the next item, surfaces where
     the serial loop would raise it.  Once the generator finishes or is
     closed, no call it submitted is still running.
     """
-    if window < 2:
+    if window < 2 or getattr(_on_worker, "active", False):
         yield from map(fn, items)
         return
     pool = _executor(_WORKERS)

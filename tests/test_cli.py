@@ -104,6 +104,20 @@ class TestSimulate:
         assert "degenerate" in capsys.readouterr().out
         assert json.loads((out / "run.json").read_text())["degenerate"] is True
 
+    def test_json_format_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(*self.ARGS, "--format", "json", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_json_format_in_config_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=json\n")
+        out = tmp_path / "run"
+        assert run(*self.ARGS, "--config", str(cfg), "--out", str(out)) == 3
+        assert not out.exists()
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_numerical_error_exit_code(self, tmp_path):
         assert run("simulate", "--family", "thermal", "--nu", "100", "--gamma", "1",
                    "--dt", "5", "--duration", "500", "--traces", "1",

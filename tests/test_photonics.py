@@ -73,6 +73,17 @@ class TestFilter:
         with pytest.raises(ConfigurationError):
             apply_filter(trace, FilterSpec(0.0, 1000.0))  # pi/dt ~ 314
 
+    def test_one_resolvability_check(self):
+        """apply_filter and the sweep reject a too-wide filter with one message."""
+        trace = next(generate_ensemble(LASER, 0.01, 25000, 1, 1))
+        with pytest.raises(ConfigurationError) as filtered:
+            apply_filter(trace, FilterSpec(0.0, 1000.0))
+        with pytest.raises(ConfigurationError) as swept:
+            filtered_laser_sweep(LASER, [1000.0], 0.01, 25000, 1, 2)
+        assert str(filtered.value) == str(swept.value) == (
+            "filter fwhm 1000 not resolvable on a grid with dt=0.01 "
+            "(need fwhm < pi/dt = 314.159)")
+
 
 class TestG2:
     def test_laser_exactly_one(self):

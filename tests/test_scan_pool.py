@@ -3,6 +3,7 @@ where the serial scan raises them, and no task left behind."""
 
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from beamsim import spectral
 from beamsim.errors import DomainError
 from beamsim.fieldgen import BeamModelSpec, Ensemble, generate_ensemble, generate_trace
-from beamsim.photonics import filtered_laser_sweep, g2
+from beamsim.photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
 from beamsim.spectral import (
     cross_mode_correlation,
     spectrum,
@@ -63,7 +64,8 @@ def fast_switching():
 @pytest.fixture(scope="module")
 def serial():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_IN_FLIGHT_BYTES", 0)
+        mp.setattr(spectral, "_IN_FLIGHT_BYTES", 0)   # serial scans
+        mp.setattr(spectral, "_WORKERS", 1)           # serial sweep filters
         return estimates(lambda: generate_ensemble(THERMAL, DT, N, SEED, TRACES))
 
 
@@ -184,3 +186,84 @@ def test_coarse_jitter_warning_from_every_trace():
     with pytest.warns(UserWarning, match="jitter phase steps are coarse") as record:
         spectrum(generate_ensemble(model, DT, N, SEED, TRACES))
     assert len(record) == TRACES
+
+
+SWEEP_N = 2 * N
+SWEEP_FWHMS = [100.0, 30.0, 10.0, 3.0, 1.0]
+
+
+def test_sweep_filters_pool_only_when_the_scan_cannot(monkeypatch):
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_MIN_POOLED_BYTES", 64 << 10)
+    # (n, whether the scan pools, filter window) at the default 8 MiB budget
+    for n, pooled, filters in [(4000, False, 1), (262144, True, 1),
+                               (262145, False, 2), (10**6, False, 2)]:
+        assert (spectral._in_flight(n) >= 2, spectral._branches_in_flight(n)) == (pooled, filters)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sweep_filters_on_the_pool_are_bit_identical(monkeypatch, fast_switching, workers):
+    def sweep():
+        rows = filtered_laser_sweep(JITTERED, SWEEP_FWHMS, DT, SWEEP_N, SEED, TRACES)
+        return [[r.g2_zero for r in rows], [r.std_error for r in rows]]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "_WORKERS", 1)
+        mp.setattr(spectral, "_IN_FLIGHT_BYTES", 0)
+        expected = sweep()
+    calls = []
+    executor = spectral._executor
+    monkeypatch.setattr(spectral, "_executor", lambda w: calls.append(w) or executor(w))
+    monkeypatch.setattr(spectral, "_WORKERS", workers)
+    # below two sweep traces: the scan is serial, its filters are not
+    monkeypatch.setattr(spectral, "_IN_FLIGHT_BYTES", 2 * 16 * SWEEP_N - 1)
+    assert_bitwise_equal(sweep(), expected)
+    assert calls == ([workers] * TRACES if workers > 1 else [])
+
+
+def test_ordered_map_on_a_pool_worker_runs_serially():
+    """Every call runs on the worker itself: a worker that waited on tasks
+    queued behind it on its own pool could wait for ever."""
+    pool = spectral._executor.__wrapped__(1)   # a fresh pool, made as the scan's is
+    try:
+        def nested():
+            caller = threading.get_ident()
+            return list(spectral._ordered_map(
+                lambda i: (i, threading.get_ident() == caller), range(6), 4))
+        assert pool.submit(nested).result(timeout=60) == [(i, True) for i in range(6)]
+    finally:
+        pool.shutdown(wait=False)
+
+
+def test_filtered_g2_from_an_ensemble(monkeypatch, fast_switching):
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    filt = FilterSpec(0.0, 10.0)
+    taus, burn_in = [0.0, 0.1, 0.5], filt.suggested_burn_in()
+    traces = generate_ensemble(THERMAL, DT, N, SEED, TRACES)
+    make = traces.make
+    pooled = g2(Ensemble(lambda i: apply_filter(make(i), filt), traces.take_rest()),
+                taus, burn_in=burn_in)
+    pulled = g2((apply_filter(t, filt) for t in generate_ensemble(THERMAL, DT, N, SEED, TRACES)),
+                taus, burn_in=burn_in)
+    assert_bitwise_equal([pooled.values, pooled.std_errors], [pulled.values, pulled.std_errors])
+
+
+def test_cli_g2_filters_on_the_pool(monkeypatch, capsys):
+    from beamsim import cli
+
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    threads = []
+
+    def recording_filter(trace, filt):
+        threads.append(threading.current_thread().name)
+        return apply_filter(trace, filt)
+
+    monkeypatch.setattr(cli, "apply_filter", recording_filter)
+    assert cli.main(["g2", "--family", "thermal", "--nu", "100", "--gamma", "1",
+                     "--dt", str(DT), "--duration", str(N * DT), "--traces", str(TRACES),
+                     "--seed", str(SEED), "--filter-fwhm", "10"]) == 0
+    assert "ensemble_size=12" in capsys.readouterr().out
+    # the first trace fixes the grid in the calling thread; the rest are
+    # generated and filtered on the workers
+    assert len(threads) == TRACES
+    assert all(name.startswith("beamsim-scan") for name in threads[1:])
