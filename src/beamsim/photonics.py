@@ -22,23 +22,9 @@ from .fieldgen import (
     generate_ensemble,
     trace_rng,
     _CHANNEL_COUNTS,
+    _mode_grid,
 )
 from .spectral import _branches_in_flight, _float_cells, _ordered_map, _scan, _write_csv
-
-TWO_PI = 2.0 * math.pi
-
-if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
-    def _fft_in_place(a: np.ndarray) -> np.ndarray:
-        """Forward DFT of a complex128 array, computed in the array's buffer."""
-        return np.fft.fft(a, out=a)
-else:
-    # numpy < 2.0 has no out=; scipy's in-place transform gives the same
-    # numbers but keeps twice the scratch memory on a pool worker
-    import scipy.fft
-
-    def _fft_in_place(a: np.ndarray) -> np.ndarray:
-        return scipy.fft.fft(a, overwrite_x=True)
-
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -74,7 +60,7 @@ class FilterSpec:
 def apply_filter(trace: FieldTrace, filt: FilterSpec) -> FieldTrace:
     """Multiply the trace's frequency components by the filter's amplitude response."""
     filt.check_resolvable(trace.dt)
-    omega = TWO_PI * np.fft.fftfreq(trace.n_samples, d=trace.dt)
+    omega = _mode_grid(trace.dt, trace.n_samples)
     modes = np.fft.ifft(trace.samples) * filt.amplitude_response(omega)
     return FieldTrace(samples=np.fft.fft(modes), dt=trace.dt, model=trace.model,
                       master_seed=trace.master_seed, trace_index=trace.trace_index)
@@ -213,14 +199,12 @@ def intensity_samples(traces: Iterable[FieldTrace], spacing: float,
                       burn_in: float = 0.0) -> np.ndarray:
     """Instantaneous intensities sampled every `spacing` seconds past burn_in,
     pooled over the ensemble (for distribution comparisons)."""
-    out = []
-    for trace in traces:
-        skip = _burn_in_samples(trace.dt, trace.n_samples, burn_in)
-        step = max(1, int(round(spacing / trace.dt)))
-        out.append(trace.intensity()[skip::step])
-    if not out:
-        raise DomainError("empty ensemble")
-    return np.concatenate(out)
+    def setup(dt: float, n: int):
+        skip = _burn_in_samples(dt, n, burn_in)
+        step = max(1, int(round(spacing / dt)))
+        return lambda trace: trace.intensity()[skip::step]
+
+    return _scan(traces, setup)[2].ravel()
 
 
 @dataclass(frozen=True)
@@ -249,7 +233,7 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
             raise ConfigurationError(
                 f"trace too short for fwhm={f.fwhm:g}: burn-in {burn:g} exceeds half the duration"
             )
-    omega = TWO_PI * np.fft.fftfreq(n, d=dt)
+    omega = _mode_grid(dt, n)
     responses = [f.amplitude_response(omega) for f in filters]
     del omega
     skips = [int(round(b / dt)) for b in burns]
@@ -259,7 +243,7 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
         # time-mean intensity and time-mean squared intensity past the
         # burn-in, computed in the buffer of the filtered modes
         filtered, skip = branch
-        filtered = _fft_in_place(filtered)
+        np.fft.fft(filtered, out=filtered)
         re, im = filtered.real[skip:], filtered.imag[skip:]
         np.square(re, out=re)
         np.square(im, out=im)

@@ -12,42 +12,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants used throughout (CODATA defaults).
-
-    wien_x is the dimensionless root locating the peak of the spectral
-    power distribution (Wien displacement), x ~ 4.965.
-    """
-
-    hbar: float = 1.054571817e-34  # J s
-    k_B: float = 1.380649e-23      # J / K
-    c: float = 299792458.0         # m / s
-    wien_x: float = 4.965          # dimensionless
-
-    def __post_init__(self):
-        for name in ("hbar", "k_B", "c", "wien_x"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"constant {name} must be strictly positive, got {v!r}")
-
-    @property
-    def stefan_boltzmann_sigma(self) -> float:
-        """pi^2 k_B^4 / (60 c^2 hbar^3), W m^-2 K^-4."""
-        return math.pi**2 * self.k_B**4 / (60.0 * self.c**2 * self.hbar**3)
-
-    @property
-    def wien_b(self) -> float:
-        """Displacement constant 2 pi hbar c / (x k_B), m K."""
-        return 2.0 * math.pi * self.hbar * self.c / (self.wien_x * self.k_B)
-
-
-CODATA = PhysicalConstants()
+# CODATA 2018 values.
+HBAR = 1.054571817e-34  # J s
+K_B = 1.380649e-23      # J / K
+C = 299792458.0         # m / s
+# Dimensionless root locating the peak of the spectral power distribution
+# (Wien displacement), x ~ 4.965.
+WIEN_X = 4.965
+# pi^2 k_B^4 / (60 c^2 hbar^3), W m^-2 K^-4.
+STEFAN_BOLTZMANN_SIGMA = math.pi**2 * K_B**4 / (60.0 * C**2 * HBAR**3)
+# Displacement constant 2 pi hbar c / (x k_B), m K.
+WIEN_B = 2.0 * math.pi * HBAR * C / (WIEN_X * K_B)
 
 
 def _require_positive(**kwargs) -> None:
@@ -56,81 +35,46 @@ def _require_positive(**kwargs) -> None:
             raise DomainError(f"{name} must be a finite positive number, got {v!r}")
 
 
-@dataclass(frozen=True)
-class BlackbodyScenario:
-    """Parameter bundle for a source/beam comparison.
-
-    Any subset of the fields may be set; each operation documents which
-    fields it reads.  omega0 is always derived from the wavelength.
-    """
-
-    power_P: Optional[float] = None                 # W
-    linewidth_Gamma: Optional[float] = None         # 1/s
-    center_wavelength_lambda0: Optional[float] = None  # m
-    filament_area_A: Optional[float] = None         # m^2
-    temperature_T: Optional[float] = None           # K
-
-    def __post_init__(self):
-        for name in (
-            "power_P",
-            "linewidth_Gamma",
-            "center_wavelength_lambda0",
-            "filament_area_A",
-            "temperature_T",
-        ):
-            v = getattr(self, name)
-            if v is not None:
-                _require_positive(**{name: v})
-
-    def omega0(self, constants: PhysicalConstants = CODATA) -> float:
-        """Carrier angular frequency 2 pi c / lambda0, rad/s."""
-        if self.center_wavelength_lambda0 is None:
-            raise DomainError("center_wavelength_lambda0 is unset")
-        return 2.0 * math.pi * constants.c / self.center_wavelength_lambda0
-
-
-def mean_occupation(omega: float, T: float, constants: PhysicalConstants = CODATA) -> float:
+def mean_occupation(omega: float, T: float) -> float:
     """Planck mean photon number 1/(exp(hbar omega / k_B T) - 1)."""
     _require_positive(omega=omega, T=T)
-    x = constants.hbar * omega / (constants.k_B * T)
+    x = HBAR * omega / (K_B * T)
     # expm1 keeps the Rayleigh-Jeans limit accurate for x -> 0.
     return 1.0 / math.expm1(x)
 
 
-def radiated_power(A: float, T: float, constants: PhysicalConstants = CODATA) -> float:
+def radiated_power(A: float, T: float) -> float:
     """Total radiated power of a blackbody of area A at temperature T (Stefan-Boltzmann)."""
     _require_positive(A=A, T=T)
-    return constants.stefan_boltzmann_sigma * A * T**4
+    return STEFAN_BOLTZMANN_SIGMA * A * T**4
 
 
-def wien_peak(T: float, constants: PhysicalConstants = CODATA) -> float:
+def wien_peak(T: float) -> float:
     """Wavelength of maximum spectral power, lambda_max = 2 pi hbar c / (x k_B T)."""
     _require_positive(T=T)
-    return constants.wien_b / T
+    return WIEN_B / T
 
 
-def filament_area(P: float, lambda_max: float, constants: PhysicalConstants = CODATA) -> float:
+def filament_area(P: float, lambda_max: float) -> float:
     """Radiating area implied by total power and peak wavelength, A = 2.37 P lambda_max^4 / (c^2 hbar)."""
     _require_positive(P=P, lambda_max=lambda_max)
-    return 2.37 * P * lambda_max**4 / (constants.c**2 * constants.hbar)
+    return 2.37 * P * lambda_max**4 / (C**2 * HBAR)
 
 
-def collimated_power(T: float, constants: PhysicalConstants = CODATA) -> float:
+def collimated_power(T: float) -> float:
     """Power in an ideally collimated, polarized single-transverse-mode thermal beam,
     (pi/12) (k_B T)^2 / hbar."""
     _require_positive(T=T)
-    return (math.pi / 12.0) * (constants.k_B * T) ** 2 / constants.hbar
+    return (math.pi / 12.0) * (K_B * T) ** 2 / HBAR
 
 
-def temperature_for_collimated_power(P: float, constants: PhysicalConstants = CODATA) -> float:
+def temperature_for_collimated_power(P: float) -> float:
     """Source temperature whose collimated beam carries power P (inverse of collimated_power)."""
     _require_positive(P=P)
-    return math.sqrt(12.0 * constants.hbar * P / math.pi) / constants.k_B
+    return math.sqrt(12.0 * HBAR * P / math.pi) / K_B
 
 
-def filtered_power(
-    nu: float, omega0: float, Gamma: float, constants: PhysicalConstants = CODATA
-) -> float:
+def filtered_power(nu: float, omega0: float, Gamma: float) -> float:
     """Power surviving a Lorentzian filter of FWHM Gamma on a beam with nu photons
     per coherence time: nu hbar omega0 Gamma / 4.  Valid for Gamma << omega0."""
     if not (isinstance(nu, (int, float)) and math.isfinite(nu) and nu >= 0):
@@ -141,25 +85,21 @@ def filtered_power(
             f"filtered_power assumes Gamma << omega0; got Gamma/omega0 = {Gamma / omega0:.3g}",
             stacklevel=2,
         )
-    return nu * constants.hbar * omega0 * Gamma / 4.0
+    return nu * HBAR * omega0 * Gamma / 4.0
 
 
-def temperature_for_filtered_power(
-    P: float, Gamma: float, constants: PhysicalConstants = CODATA
-) -> float:
+def temperature_for_filtered_power(P: float, Gamma: float) -> float:
     """High-temperature-limit source temperature for a filtered beam of power P:
     T'' = 4 P / (k_B Gamma)."""
     _require_positive(P=P, Gamma=Gamma)
-    return 4.0 * P / (constants.k_B * Gamma)
+    return 4.0 * P / (K_B * Gamma)
 
 
-def photons_per_coherence_time(
-    P: float, lambda0: float, Gamma: float, constants: PhysicalConstants = CODATA
-) -> float:
+def photons_per_coherence_time(P: float, lambda0: float, Gamma: float) -> float:
     """Dimensionless beam brightness nu = 4 P / (hbar omega0 Gamma)."""
     _require_positive(P=P, lambda0=lambda0, Gamma=Gamma)
-    omega0 = 2.0 * math.pi * constants.c / lambda0
-    return 4.0 * P / (constants.hbar * omega0 * Gamma)
+    omega0 = 2.0 * math.pi * C / lambda0
+    return 4.0 * P / (HBAR * omega0 * Gamma)
 
 
 @dataclass(frozen=True)
@@ -172,19 +112,17 @@ class CollimationEfficiency:
     lambda_max: float       # Wien peak at T', m
 
 
-def collimation_efficiency(
-    P: float, A: float, constants: PhysicalConstants = CODATA
-) -> CollimationEfficiency:
+def collimation_efficiency(P: float, A: float) -> CollimationEfficiency:
     """Collimation efficiency for a beam of power P from a filament of area A.
 
     The simple ratio lambda'_max^2 / A approximates the exact power ratio
     remarkably well (a numerical coincidence); both are returned.
     """
     _require_positive(P=P, A=A)
-    T_prime = temperature_for_collimated_power(P, constants)
-    lam = wien_peak(T_prime, constants)
+    T_prime = temperature_for_collimated_power(P)
+    lam = wien_peak(T_prime)
     approx = lam**2 / A
-    exact = collimated_power(T_prime, constants) / radiated_power(A, T_prime, constants)
+    exact = collimated_power(T_prime) / radiated_power(A, T_prime)
     return CollimationEfficiency(approximate=approx, exact=exact, temperature=T_prime, lambda_max=lam)
 
 
@@ -216,9 +154,8 @@ class FilteringEfficiency:
         return math.log10(self.product)
 
 
-def filtering_efficiency(
-    P: float, A: float, Gamma: float, lambda0: float, constants: PhysicalConstants = CODATA
-) -> FilteringEfficiency:
+def filtering_efficiency(P: float, A: float, Gamma: float,
+                         lambda0: float) -> FilteringEfficiency:
     """Fraction of radiated power surviving collimation plus a Gamma-wide Lorentzian
     filter, with its geometric / spectral / brightness factor breakdown.
 
@@ -226,11 +163,11 @@ def filtering_efficiency(
     factors deliberately dropped).
     """
     _require_positive(P=P, A=A, Gamma=Gamma, lambda0=lambda0)
-    omega0 = 2.0 * math.pi * constants.c / lambda0
-    nu = photons_per_coherence_time(P, lambda0, Gamma, constants)
-    T_pp = temperature_for_filtered_power(P, Gamma, constants)
-    lam_pp = wien_peak(T_pp, constants)
-    omega_pp = 2.0 * math.pi * constants.c / lam_pp
+    omega0 = 2.0 * math.pi * C / lambda0
+    nu = photons_per_coherence_time(P, lambda0, Gamma)
+    T_pp = temperature_for_filtered_power(P, Gamma)
+    lam_pp = wien_peak(T_pp)
+    omega_pp = 2.0 * math.pi * C / lam_pp
     total = (lam_pp**2 / A) * (Gamma / omega_pp)
     geometric = lambda0**2 / A
     spectral = Gamma / omega0

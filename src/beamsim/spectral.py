@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fieldgen import Ensemble, FieldTrace, lorentzian
+from .fieldgen import Ensemble, FieldTrace, _mode_grid, lorentzian
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,11 +146,6 @@ def _float_cells(rows) -> Iterable[list[str]]:
     return ([repr(float(x)) for x in row] for row in rows)
 
 
-def detuning_grid(trace: FieldTrace) -> np.ndarray:
-    """Sorted DFT detuning grid of a trace."""
-    return np.sort(TWO_PI * np.fft.fftfreq(trace.n_samples, d=trace.dt))
-
-
 def _nearest_index(grid: np.ndarray, detuning: float) -> int:
     i = int(np.argmin(np.abs(grid - detuning)))
     spacing = grid[1] - grid[0]
@@ -186,7 +181,7 @@ def _power(trace: FieldTrace) -> np.ndarray:
 def _sorted_estimate(dt: float, values: np.ndarray, std_errors: np.ndarray,
                      count: int) -> SpectrumEstimate:
     """SpectrumEstimate from per-bin values in numpy fft ordering."""
-    grid = TWO_PI * np.fft.fftfreq(values.size, d=dt)
+    grid = _mode_grid(dt, values.size)
     order = np.argsort(grid)
     return SpectrumEstimate(grid=grid[order], values=values[order],
                             std_errors=std_errors[order], ensemble_size=count)

@@ -1,4 +1,4 @@
-"""Serialization of field traces: binary records and CSV.
+"""Serialization of field traces as binary records.
 
 Binary layout (little-endian):
     magic  b"FTRC"
@@ -45,10 +45,8 @@ def _header_dict(trace: FieldTrace) -> dict:
 
 def trace_to_bytes(trace: FieldTrace) -> bytes:
     header = json.dumps(_header_dict(trace), sort_keys=True).encode("utf-8")
-    payload = np.empty(2 * trace.n_samples, dtype="<f8")
-    payload[0::2] = trace.samples.real
-    payload[1::2] = trace.samples.imag
-    return MAGIC + struct.pack("<II", VERSION, len(header)) + header + payload.tobytes()
+    payload = trace.samples.astype("<c16").tobytes()   # re, im interleaved
+    return MAGIC + struct.pack("<II", VERSION, len(header)) + header + payload
 
 
 def trace_from_bytes(data: bytes) -> FieldTrace:
@@ -73,10 +71,11 @@ def trace_from_bytes(data: bytes) -> FieldTrace:
         raise ConfigurationError(f"trace header lacks a required key: {exc}") from exc
     except TypeError as exc:  # header or its model is not a mapping of the expected keys
         raise ConfigurationError(f"trace header malformed: {exc}") from exc
-    payload = np.frombuffer(data[12 + hlen:], dtype="<f8")
-    if payload.size != 2 * n:
-        raise ConfigurationError(f"payload length {payload.size} != 2 * {n}")
-    samples = payload[0::2] + 1j * payload[1::2]
+    size = len(data) - 12 - hlen
+    if not isinstance(n, int) or size != 16 * n:
+        raise ConfigurationError(f"payload of {size} bytes != 16 * {n!r} samples")
+    # one copy: a view of the record would be read-only
+    samples = np.frombuffer(data, "<c16", offset=12 + hlen).astype(np.complex128)
     return FieldTrace(samples=samples, dt=dt, model=model, master_seed=seed, trace_index=index)
 
 
@@ -90,10 +89,3 @@ def read_trace(path: PathLike) -> FieldTrace:
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
-
-def write_trace_csv(trace: FieldTrace, path: PathLike) -> None:
-    """Plain t,re,im table for plotting."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,re,im\n")
-        for t, s in zip(trace.times, trace.samples):
-            fh.write(f"{float(t)!r},{float(s.real)!r},{float(s.imag)!r}\n")

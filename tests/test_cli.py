@@ -153,6 +153,17 @@ class TestSpectrum:
         assert "bad.ftrc: trace" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_trace_file_cut_inside_a_sample(self, tmp_path, capsys, cut):
+        run_dir = tmp_path / "run"
+        assert run(*TestSimulate.ARGS, "--out", str(run_dir)) == 0
+        path = sorted(run_dir.glob("*.ftrc"))[1]
+        path.write_bytes(path.read_bytes()[:-cut])
+        assert run("spectrum", "--in", str(run_dir)) == 3
+        err = capsys.readouterr().err
+        assert f"{path.name}: payload" in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ("spectrum", "--family", "laser", "--nu", "100", "--gamma", "1",
                 "--dt", "0.01", "--duration", "20", "--traces", "3", "--seed", "5")

@@ -196,6 +196,20 @@ class TestIntensitySamples:
                                     spacing=1.0, burn_in=10.0)
         assert samples.size == (2000 - 1000 + 99) // 100
 
+    def test_matches_per_trace_loop(self):
+        # 8192 samples per trace: large enough for the scan to pool
+        pooled = intensity_samples(generate_ensemble(THERMAL, 0.01, 8192, 4, 5),
+                                   spacing=0.05, burn_in=1.0)
+        loop = np.concatenate([trace.intensity()[100::5] for trace in
+                               generate_ensemble(THERMAL, 0.01, 8192, 4, 5)])
+        assert np.array_equal(pooled, loop)
+
+    def test_rejects_mismatched_grids(self):
+        traces = [*generate_ensemble(LASER, 0.01, 2000, 1, 1),
+                  *generate_ensemble(LASER, 0.005, 2000, 1, 1)]
+        with pytest.raises(DomainError, match="share one time grid"):
+            intensity_samples(traces, spacing=1.0)
+
 
 class TestSweep:
     def test_matches_manual_filter_and_g2(self):

@@ -16,7 +16,6 @@ from beamsim.spectral import (
     SpectrumEstimate,
     _anova_f,
     cross_mode_correlation,
-    detuning_grid,
     estimate_fwhm,
     periodogram,
     periodogram_bin_values,
@@ -368,7 +367,3 @@ class TestContainers:
         assert est.value_at(0.0) == pytest.approx(25.0 * 20.0, rel=1e-12)
         with pytest.raises(DomainError):
             est.value_at(0.123)
-
-    def test_detuning_grid_matches_periodogram(self):
-        trace = constant_trace()
-        assert np.allclose(detuning_grid(trace), periodogram(trace).grid)

@@ -13,7 +13,6 @@ from beamsim.traceio import (
     trace_from_bytes,
     trace_to_bytes,
     write_trace,
-    write_trace_csv,
 )
 
 
@@ -22,16 +21,22 @@ def make_trace(family="thermal", **kwargs):
     return generate_trace(model, 0.01, 2000, 42, trace_index=5)
 
 
-def without_header_key(data: bytes, *path: str) -> bytes:
-    """Re-encode a record with the header entry at `path` deleted."""
+def reencoded(data: bytes, edit) -> bytes:
+    """Re-encode a record after `edit(header)` has changed its header dict."""
     (hlen,) = struct.unpack("<I", data[8:12])
     header = json.loads(data[12:12 + hlen])
-    parent = header
-    for key in path[:-1]:
-        parent = parent[key]
-    del parent[path[-1]]
+    edit(header)
     raw = json.dumps(header).encode("utf-8")
     return data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + hlen:]
+
+
+def without_header_key(data: bytes, *path: str) -> bytes:
+    """Re-encode a record with the header entry at `path` deleted."""
+    def edit(header):
+        for key in path[:-1]:
+            header = header[key]
+        del header[path[-1]]
+    return reencoded(data, edit)
 
 
 class TestRoundTrip:
@@ -64,6 +69,20 @@ class TestRoundTrip:
     def test_serialization_is_deterministic(self):
         assert trace_to_bytes(make_trace()) == trace_to_bytes(make_trace())
 
+    def test_payload_is_interleaved_re_im(self):
+        trace = make_trace()
+        reference = np.empty(2 * trace.n_samples, dtype="<f8")
+        reference[0::2] = trace.samples.real
+        reference[1::2] = trace.samples.imag
+        data = trace_to_bytes(trace)
+        (hlen,) = struct.unpack("<I", data[8:12])
+        assert data[12 + hlen:] == reference.tobytes()
+
+    def test_read_samples_are_writable(self):
+        back = trace_from_bytes(trace_to_bytes(make_trace()))
+        back.samples[0] = 0.0
+        assert back.samples[0] == 0.0
+
 
 class TestValidation:
     def test_bad_magic(self):
@@ -80,6 +99,19 @@ class TestValidation:
         data = trace_to_bytes(make_trace())
         with pytest.raises(ConfigurationError):
             trace_from_bytes(data[:-16])
+
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_payload_cut_inside_a_sample(self, cut):
+        data = trace_to_bytes(make_trace())
+        with pytest.raises(ConfigurationError, match="payload"):
+            trace_from_bytes(data[:-cut])
+
+    # 2000.5 samples with 8 bytes appended: the payload does hold 16 * n bytes
+    @pytest.mark.parametrize("n, pad", [(None, 0), (2000.5, 8)])
+    def test_sample_count_not_an_integer(self, n, pad):
+        data = reencoded(trace_to_bytes(make_trace()), lambda h: h.update(n_samples=n))
+        with pytest.raises(ConfigurationError, match="payload"):
+            trace_from_bytes(data + bytes(pad))
 
     def test_record_shorter_than_preamble(self):
         with pytest.raises(ConfigurationError, match="12-byte preamble"):
@@ -112,16 +144,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="bad.ftrc"):
             read_trace(path)
 
+    @pytest.mark.parametrize("cut", [1, 3])
+    def test_read_trace_names_the_file_of_a_cut_payload(self, tmp_path, cut):
+        path = tmp_path / "cut.ftrc"
+        path.write_bytes(trace_to_bytes(make_trace())[:-cut])
+        with pytest.raises(ConfigurationError, match="cut.ftrc: payload"):
+            read_trace(path)
 
-class TestCsv:
-    def test_header_and_rows(self, tmp_path):
-        trace = make_trace("laser")
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,re,im"
-        assert len(lines) == trace.n_samples + 1
-        t, re, im = (float(x) for x in lines[1].split(","))
-        assert t == 0.0
-        assert re == trace.samples[0].real
-        assert im == trace.samples[0].imag
