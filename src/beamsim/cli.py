@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from . import radiometry
 from .fieldgen import FAMILIES, BeamModelSpec, Ensemble, generate_ensemble
 from .photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
@@ -134,7 +135,14 @@ def _model_from_args(args: argparse.Namespace) -> BeamModelSpec:
 
 def _grid_from_args(args: argparse.Namespace) -> tuple[float, int]:
     _require(args, "dt", "duration")
-    n = int(round(args.duration / args.dt))
+    for name in ("dt", "duration"):
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+    ratio = args.duration / args.dt
+    if not math.isfinite(ratio):
+        raise ConfigurationError(f"duration / dt = {ratio} is not a finite sample count")
+    n = int(round(ratio))
     if n < 2:
         raise ConfigurationError("duration must cover at least 2 samples")
     return args.dt, n
@@ -392,10 +400,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors / --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except (DomainError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # DomainError and ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

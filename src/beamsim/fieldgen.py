@@ -68,16 +68,19 @@ class BeamModelSpec:
             raise DomainError(f"nu must be finite and >= 0, got {self.nu!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise DomainError(f"gamma must be finite and > 0, got {self.gamma!r}")
-        if self.family == "jittered_laser":
-            if self.jitter_band < 0 or not math.isfinite(self.jitter_band):
-                raise DomainError("jitter_band must be finite and >= 0")
-            if self.jitter_band > 0:
-                if self.jitter_band <= self.gamma:
-                    raise DomainError(
-                        "jittered_laser requires jitter_band > gamma (or exactly 0 for the degenerate case)"
-                    )
-                if self.jitter_corr_time is None or self.jitter_corr_time <= 1.0 / self.gamma:
-                    raise DomainError("jittered_laser requires jitter_corr_time > 1/gamma")
+        if self.family != "jittered_laser":
+            if self.jitter_band != 0 or self.jitter_corr_time is not None:
+                raise DomainError(f"jitter_band and jitter_corr_time apply only to "
+                                  f"jittered_laser, not {self.family!r}")
+        elif self.jitter_band < 0 or not math.isfinite(self.jitter_band):
+            raise DomainError("jitter_band must be finite and >= 0")
+        elif self.jitter_band > 0:
+            if self.jitter_band <= self.gamma:
+                raise DomainError(
+                    "jittered_laser requires jitter_band > gamma (or exactly 0 for the degenerate case)"
+                )
+            if self.jitter_corr_time is None or not self.jitter_corr_time > 1.0 / self.gamma:
+                raise DomainError("jittered_laser requires jitter_corr_time > 1/gamma")
 
     @property
     def mean_flux(self) -> float:
@@ -130,18 +133,13 @@ class FieldTrace:
         return self.samples.real**2 + self.samples.imag**2
 
 
-def _expect_family(model: BeamModelSpec, family: str) -> None:
-    if model.family != family:
-        raise DomainError(f"expected family {family!r}, got {model.family!r}")
-
-
-def _check_dt(model: BeamModelSpec, dt: float) -> None:
+def _check_dt(model: BeamModelSpec, dt: float, n: int) -> None:
     bound = 0.01 / model.gamma
     if dt > bound * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt={dt:g} too coarse for gamma={model.gamma:g}; require dt <= 0.01/gamma = {bound:g}"
         )
-    if model.family == "jittered_laser" and model.jitter_band * dt > 0.1:
+    if model.jitter_band * dt > 0.1:
         warnings.warn(
             f"dt*jitter_band = {model.jitter_band * dt:.3g} > 0.1; jitter phase steps are coarse",
             stacklevel=3,
@@ -163,75 +161,48 @@ def _ou_step_coefficients(nu: float, gamma: float, dt: float) -> tuple[float, fl
     return a, sigma2
 
 
-def gen_thermal_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                      trace_index: int = 0) -> FieldTrace:
-    """Exact-discretization complex OU process with kernel exp(-Gamma tau / 2)."""
-    _expect_family(model, "thermal")
-    _check_dt(model, dt)
-    rng = trace_rng(master_seed, trace_index)
-    a, sigma2 = _ou_step_coefficients(model.nu, model.gamma, dt)
+def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unit-variance complex normals: n real parts drawn first, then n imaginary parts."""
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
-    w = (re + 1j * im) / math.sqrt(2.0)       # unit-variance complex normals
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
+def _thermal(model: BeamModelSpec, dt: float, n: int, master_seed: int,
+             trace_index: int) -> np.ndarray:
+    """Exact-discretization complex OU process with kernel exp(-Gamma tau / 2)."""
+    a, sigma2 = _ou_step_coefficients(model.nu, model.gamma, dt)
+    w = _complex_normals(trace_rng(master_seed, trace_index), n)
     x = w * math.sqrt(sigma2)
     x[0] = w[0] * math.sqrt(model.mean_flux)  # stationary initial sample
-    samples = lfilter([1.0], [1.0, -a], x)
-    return FieldTrace(samples=samples, dt=dt, model=model,
-                      master_seed=master_seed, trace_index=trace_index)
+    return lfilter([1.0], [1.0, -a], x)
 
 
-def _diffusion_phase(model: BeamModelSpec, dt: float, n: int, rng: np.random.Generator,
-                     extra_increments: Optional[np.ndarray] = None) -> np.ndarray:
-    """phi_0 uniform on [0, 2pi), then phi_{j+1} = phi_j + sqrt(Gamma dt) g_j (+ extra)."""
-    phi0 = rng.uniform(0.0, TWO_PI)
-    g = rng.standard_normal(n - 1)
-    inc = math.sqrt(model.gamma * dt) * g
-    if extra_increments is not None:
-        inc = inc + extra_increments
-    phi = np.empty(n)
-    phi[0] = phi0
-    np.cumsum(inc, out=phi[1:])
-    phi[1:] += phi0
-    return phi
+def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
+           trace_index: int) -> np.ndarray:
+    """Constant-modulus field with phase phi_0 uniform on [0, 2pi), then
+    phi_{j+1} = phi_j + sqrt(Gamma dt) g_j.
 
-
-def gen_laser_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                    trace_index: int = 0) -> FieldTrace:
-    """Constant-modulus phase-diffusing laser field."""
-    _expect_family(model, "laser")
-    _check_dt(model, dt)
-    rng = trace_rng(master_seed, trace_index)
-    phi = _diffusion_phase(model, dt, n, rng)
-    samples = math.sqrt(model.mean_flux) * np.exp(1j * phi)
-    return FieldTrace(samples=samples, dt=dt, model=model,
-                      master_seed=master_seed, trace_index=trace_index)
-
-
-def gen_jittered_laser_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                             trace_index: int = 0) -> FieldTrace:
-    """Phase-diffusing laser whose center frequency wanders in a band.
-
-    The instantaneous detuning is a real OU process with stationary standard
-    deviation jitter_band/2 and the given correlation time; it adds
-    detuning * dt to each phase increment.  With jitter_band == 0 the trace
-    is bit-identical to gen_laser_trace at the same seed.
+    With jitter_band > 0 (jittered_laser) each phase increment also gets
+    detuning_j * dt, where the detuning is a real OU process with stationary
+    standard deviation jitter_band/2 and the given correlation time, drawn on
+    its own channel.  At zero band the trace is the plain laser's bit for bit.
     """
-    _expect_family(model, "jittered_laser")
-    _check_dt(model, dt)
     rng = trace_rng(master_seed, trace_index)
-    extra = None
+    phi0 = rng.uniform(0.0, TWO_PI)
+    inc = math.sqrt(model.gamma * dt) * rng.standard_normal(n - 1)
     if model.jitter_band > 0:
         jrng = trace_rng(master_seed, trace_index, _CHANNEL_JITTER)
         s = model.jitter_band / 2.0
         aj = math.exp(-dt / model.jitter_corr_time)
         h = jrng.standard_normal(n - 1) * (s * math.sqrt(1.0 - aj * aj))
         h[0] = jrng.standard_normal() * s  # stationary start (consumes one extra draw)
-        detuning = lfilter([1.0], [1.0, -aj], h)
-        extra = detuning * dt
-    phi = _diffusion_phase(model, dt, n, rng, extra_increments=extra)
-    samples = math.sqrt(model.mean_flux) * np.exp(1j * phi)
-    return FieldTrace(samples=samples, dt=dt, model=model,
-                      master_seed=master_seed, trace_index=trace_index)
+        inc += lfilter([1.0], [1.0, -aj], h) * dt
+    phi = np.empty(n)
+    phi[0] = phi0
+    np.cumsum(inc, out=phi[1:])
+    phi[1:] += phi0
+    return math.sqrt(model.mean_flux) * np.exp(1j * phi)
 
 
 def _mode_grid(dt: float, n: int) -> np.ndarray:
@@ -239,57 +210,45 @@ def _mode_grid(dt: float, n: int) -> np.ndarray:
     return TWO_PI * np.fft.fftfreq(n, d=dt)
 
 
-def _mode_mean_photons(model: BeamModelSpec, dt: float, n: int) -> np.ndarray:
-    """Per-mode mean |A_l|^2 = nu f(omega_l) / duration, so that the trace
-    alpha_j = sum_l A_l exp(-i omega_l t_j) has mean flux ~ nu Gamma / 4."""
-    omega = _mode_grid(dt, n)
-    return model.nu * lorentzian(omega, model.gamma) / (n * dt)
+def _from_modes(model: BeamModelSpec, dt: float, n: int, unit: np.ndarray) -> np.ndarray:
+    """alpha_j = sum_l A_l exp(-i omega_l t_j) with A_l = unit_l sqrt(nu f(omega_l) / duration),
+    so that E|A_l|^2 = nu f(omega_l) / duration and the mean flux is ~ nu Gamma / 4."""
+    mean_photons = model.nu * lorentzian(_mode_grid(dt, n), model.gamma) / (n * dt)
+    return np.fft.fft(np.sqrt(mean_photons) * unit)
 
 
-def gen_kspace_product_field(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                             trace_index: int = 0) -> FieldTrace:
-    """Sample of the per-frequency-mode product of laser states: each discrete
-    mode gets a deterministic modulus sqrt(nu f(omega_l) / duration) and an
-    independent uniform phase."""
-    _expect_family(model, "kspace_product")
-    _check_duration(model, dt, n)
-    rng = trace_rng(master_seed, trace_index)
-    theta = rng.uniform(0.0, TWO_PI, n)
-    modes = np.sqrt(_mode_mean_photons(model, dt, n)) * np.exp(1j * theta)
-    samples = np.fft.fft(modes)  # sum_l A_l exp(-i omega_l t_j)
-    return FieldTrace(samples=samples, dt=dt, model=model,
-                      master_seed=master_seed, trace_index=trace_index)
+def _kspace_product(model: BeamModelSpec, dt: float, n: int, master_seed: int,
+                    trace_index: int) -> np.ndarray:
+    """Per-frequency-mode product of laser states: deterministic moduli and
+    independent uniform phases."""
+    theta = trace_rng(master_seed, trace_index).uniform(0.0, TWO_PI, n)
+    return _from_modes(model, dt, n, np.exp(1j * theta))
 
 
-def gen_periodic_thermal_field(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                               trace_index: int = 0) -> FieldTrace:
-    """Exactly periodic thermal realization: independent complex-Gaussian modes
-    with E|A_l|^2 = nu f(omega_l) / duration."""
-    _expect_family(model, "periodic_thermal")
-    _check_duration(model, dt, n)
-    rng = trace_rng(master_seed, trace_index)
-    re = rng.standard_normal(n)
-    im = rng.standard_normal(n)
-    w = (re + 1j * im) / math.sqrt(2.0)
-    modes = np.sqrt(_mode_mean_photons(model, dt, n)) * w
-    samples = np.fft.fft(modes)
-    return FieldTrace(samples=samples, dt=dt, model=model,
-                      master_seed=master_seed, trace_index=trace_index)
+def _periodic_thermal(model: BeamModelSpec, dt: float, n: int, master_seed: int,
+                      trace_index: int) -> np.ndarray:
+    """Exactly periodic thermal realization: independent complex-Gaussian modes."""
+    return _from_modes(model, dt, n, _complex_normals(trace_rng(master_seed, trace_index), n))
 
 
+# family -> (grid check, samples function)
 _GENERATORS = {
-    "thermal": gen_thermal_trace,
-    "laser": gen_laser_trace,
-    "jittered_laser": gen_jittered_laser_trace,
-    "kspace_product": gen_kspace_product_field,
-    "periodic_thermal": gen_periodic_thermal_field,
+    "thermal": (_check_dt, _thermal),
+    "laser": (_check_dt, _laser),
+    "jittered_laser": (_check_dt, _laser),
+    "kspace_product": (_check_duration, _kspace_product),
+    "periodic_thermal": (_check_duration, _periodic_thermal),
 }
 
 
 def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                    trace_index: int = 0) -> FieldTrace:
-    """Dispatch to the family's generator (every family has one)."""
-    return _GENERATORS[model.family](model, dt, n, master_seed, trace_index)
+    """One trace of the model's family on the grid (dt, n).  Its draws come
+    only from trace_rng(master_seed, trace_index, channel)."""
+    check, samples = _GENERATORS[model.family]
+    check(model, dt, n)
+    return FieldTrace(samples=samples(model, dt, n, master_seed, trace_index), dt=dt,
+                      model=model, master_seed=master_seed, trace_index=trace_index)
 
 
 class Ensemble:

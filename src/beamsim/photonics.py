@@ -75,10 +75,6 @@ class G2Estimate:
     std_errors: np.ndarray
     ensemble_size: int
 
-    def value_at(self, tau: float) -> float:
-        i = int(np.argmin(np.abs(self.tau - tau)))
-        return float(self.values[i])
-
     def to_csv(self, out, metadata: dict | None = None) -> None:
         """CSV table to `out`, a path or an open text stream."""
         _write_csv(out, {**(metadata or {}), "ensemble_size": self.ensemble_size},
@@ -87,6 +83,8 @@ class G2Estimate:
 
 
 def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
+    if not (math.isfinite(burn_in) and burn_in >= 0):
+        raise DomainError(f"burn_in must be finite and >= 0, got {burn_in!r}")
     skip = int(round(burn_in / dt))
     if skip >= n - 1:
         raise DomainError("burn_in leaves no samples to analyse")
@@ -199,6 +197,9 @@ def intensity_samples(traces: Iterable[FieldTrace], spacing: float,
                       burn_in: float = 0.0) -> np.ndarray:
     """Instantaneous intensities sampled every `spacing` seconds past burn_in,
     pooled over the ensemble (for distribution comparisons)."""
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise DomainError(f"spacing must be finite and > 0, got {spacing!r}")
+
     def setup(dt: float, n: int):
         skip = _burn_in_samples(dt, n, burn_in)
         step = max(1, int(round(spacing / dt)))

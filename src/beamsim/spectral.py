@@ -51,9 +51,6 @@ class SpectrumEstimate:
         if np.any(self.values < 0) or np.any(self.std_errors < 0):
             raise DomainError("values and std_errors must be non-negative")
 
-    def value_at(self, detuning: float) -> float:
-        return float(self.values[_nearest_index(self.grid, detuning)])
-
     def to_csv(self, out, metadata: dict | None = None) -> None:
         """CSV table to `out`, a path or an open text stream."""
         _write_csv(out, {**(metadata or {}), "ensemble_size": self.ensemble_size},
@@ -144,16 +141,6 @@ def _write_csv(out, metadata: dict, columns: Sequence[str],
 
 def _float_cells(rows) -> Iterable[list[str]]:
     return ([repr(float(x)) for x in row] for row in rows)
-
-
-def _nearest_index(grid: np.ndarray, detuning: float) -> int:
-    i = int(np.argmin(np.abs(grid - detuning)))
-    spacing = grid[1] - grid[0]
-    if abs(grid[i] - detuning) > 1e-6 * max(abs(detuning), spacing):
-        raise DomainError(
-            f"detuning {detuning:g} is not on the trace grid (nearest bin {grid[i]:g})"
-        )
-    return i
 
 
 def _fft_bin(dt: float, n: int, detuning: float) -> int:

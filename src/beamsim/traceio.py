@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .fieldgen import BeamModelSpec, FieldTrace
 
 MAGIC = b"FTRC"
@@ -41,6 +41,10 @@ def _header_dict(trace: FieldTrace) -> dict:
         "master_seed": trace.master_seed,
         "trace_index": trace.trace_index,
     }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def trace_to_bytes(trace: FieldTrace) -> bytes:
@@ -71,12 +75,21 @@ def trace_from_bytes(data: bytes) -> FieldTrace:
         raise ConfigurationError(f"trace header lacks a required key: {exc}") from exc
     except TypeError as exc:  # header or its model is not a mapping of the expected keys
         raise ConfigurationError(f"trace header malformed: {exc}") from exc
+    except DomainError as exc:
+        raise ConfigurationError(f"trace header model invalid: {exc}") from exc
+    real_dt = isinstance(dt, (int, float)) and not isinstance(dt, bool)
+    if not (real_dt and _is_int(seed) and _is_int(index)):
+        raise ConfigurationError(f"trace header needs a real dt and integer master_seed and "
+                                 f"trace_index, got {dt!r}, {seed!r} and {index!r}")
     size = len(data) - 12 - hlen
-    if not isinstance(n, int) or size != 16 * n:
+    if not _is_int(n) or size != 16 * n:
         raise ConfigurationError(f"payload of {size} bytes != 16 * {n!r} samples")
     # one copy: a view of the record would be read-only
     samples = np.frombuffer(data, "<c16", offset=12 + hlen).astype(np.complex128)
-    return FieldTrace(samples=samples, dt=dt, model=model, master_seed=seed, trace_index=index)
+    try:
+        return FieldTrace(samples=samples, dt=dt, model=model, master_seed=seed, trace_index=index)
+    except DomainError as exc:  # non-finite or non-positive dt, non-finite samples
+        raise ConfigurationError(f"trace record invalid: {exc}") from exc
 
 
 def write_trace(trace: FieldTrace, path: PathLike) -> None:

@@ -72,6 +72,39 @@ class TestUsageErrors:
         assert run("--help") == 0
 
 
+class TestDomainAndGridErrors:
+    MODEL = ("--nu", "100", "--gamma", "1", "--traces", "2", "--seed", "3")
+
+    def test_jitter_options_on_a_plain_laser(self, capsys):
+        assert run("spectrum", "--family", "laser", *self.MODEL, "--dt", "0.01",
+                   "--duration", "20", "--jitter-band", "5", "--jitter-corr-time", "3") == 3
+        err = capsys.readouterr().err
+        assert "only to jittered_laser" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid", [("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"),
+                                      ("--duration", "inf"), ("--duration", "0")])
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_bad_grid(self, capsys, command, grid):
+        args = {"--dt": "0.01", "--duration": "20", grid[0]: grid[1]}
+        family = ("--family", "thermal") if command == "spectrum" else ()
+        assert run(command, *family, *self.MODEL, *(x for kv in args.items() for x in kv)) == 3
+        err = capsys.readouterr().err
+        assert f"{grid[0][2:]} must be finite and > 0" in err
+        assert "Traceback" not in err
+
+    def test_sample_count_overflow(self, capsys):
+        assert run("spectrum", "--family", "thermal", *self.MODEL, "--dt", "1e-300",
+                   "--duration", "1e300") == 3
+        assert "not a finite sample count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("burn_in", ["-1", "nan"])
+    def test_bad_burn_in(self, capsys, burn_in):
+        assert run("g2", "--family", "thermal", *self.MODEL, "--dt", "0.01",
+                   "--duration", "20", "--burn-in", burn_in) == 3
+        assert "burn_in must be finite and >= 0" in capsys.readouterr().err
+
+
 class TestSimulate:
     ARGS = ("simulate", "--family", "laser", "--nu", "100", "--gamma", "1",
             "--dt", "0.01", "--duration", "50", "--traces", "3", "--seed", "42")

@@ -9,12 +9,9 @@ from beamsim import ConfigurationError, DomainError
 from beamsim.fieldgen import (
     BeamModelSpec,
     FieldTrace,
+    FAMILIES,
+    _GENERATORS,
     _ou_step_coefficients,
-    gen_jittered_laser_trace,
-    gen_kspace_product_field,
-    gen_laser_trace,
-    gen_periodic_thermal_field,
-    gen_thermal_trace,
     generate_ensemble,
     generate_trace,
     lorentzian,
@@ -52,8 +49,18 @@ class TestModelSpec:
             # wandering must be slower than the coherence time
             BeamModelSpec(family="jittered_laser", nu=1.0, gamma=1.0,
                           jitter_band=100.0, jitter_corr_time=0.5)
+        with pytest.raises(DomainError):
+            BeamModelSpec(family="jittered_laser", nu=1.0, gamma=1.0,
+                          jitter_band=100.0, jitter_corr_time=math.nan)
         # zero band is the allowed degenerate case
         BeamModelSpec(family="jittered_laser", nu=1.0, gamma=1.0, jitter_band=0.0)
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "jittered_laser"])
+    @pytest.mark.parametrize("jitter", [{"jitter_band": 5.0}, {"jitter_corr_time": 3.0},
+                                        {"jitter_band": math.nan}])
+    def test_jitter_fields_only_on_jittered_laser(self, family, jitter):
+        with pytest.raises(DomainError, match="only to jittered_laser"):
+            BeamModelSpec(family=family, nu=1.0, gamma=1.0, **jitter)
 
     def test_nu_from_cavity(self):
         assert nu_from_cavity(kappa=2.0, mu=5.0, gamma=4.0) == 10.0
@@ -75,16 +82,19 @@ class TestReproducibility:
         assert np.array_equal(a.samples, b.samples)
 
     def test_distinct_indices_differ(self):
-        a = gen_thermal_trace(THERMAL, 0.01, 2000, 42, trace_index=0)
-        b = gen_thermal_trace(THERMAL, 0.01, 2000, 42, trace_index=1)
+        a = generate_trace(THERMAL, 0.01, 2000, 42, trace_index=0)
+        b = generate_trace(THERMAL, 0.01, 2000, 42, trace_index=1)
         assert not np.array_equal(a.samples, b.samples)
+
+    def test_every_family_has_a_generator(self):
+        assert set(_GENERATORS) == set(FAMILIES)
 
     def test_trace_rng_is_pure(self):
         assert trace_rng(7, 3).standard_normal() == trace_rng(7, 3).standard_normal()
 
     def test_ensemble_matches_single_trace_generation(self):
         traces = list(generate_ensemble(THERMAL, 0.01, 2000, 42, 3))
-        single = gen_thermal_trace(THERMAL, 0.01, 2000, 42, trace_index=2)
+        single = generate_trace(THERMAL, 0.01, 2000, 42, trace_index=2)
         assert np.array_equal(traces[2].samples, single.samples)
 
 
@@ -111,7 +121,7 @@ class TestThermal:
 
     def test_zero_brightness_gives_zero_trace(self):
         model = BeamModelSpec(family="thermal", nu=0.0, gamma=1.0)
-        trace = gen_thermal_trace(model, 0.01, 100, 3)
+        trace = generate_trace(model, 0.01, 100, 3)
         assert np.all(trace.samples == 0.0)
 
     def test_exact_discretization_moments(self):
@@ -136,12 +146,12 @@ class TestThermal:
 
     def test_dt_bound_enforced(self):
         with pytest.raises(ConfigurationError):
-            gen_thermal_trace(THERMAL, 0.02, 1000, 1)
+            generate_trace(THERMAL, 0.02, 1000, 1)
 
 
 class TestLaser:
     def test_constant_modulus(self):
-        trace = gen_laser_trace(LASER, 0.01, 5000, 5)
+        trace = generate_trace(LASER, 0.01, 5000, 5)
         assert np.max(np.abs(trace.intensity() - 25.0)) < 1e-10
 
     def test_first_order_coherence(self):
@@ -156,7 +166,7 @@ class TestLaser:
 
     def test_frozen_phase_limit(self):
         model = BeamModelSpec(family="laser", nu=100.0, gamma=1e-12)
-        trace = gen_laser_trace(model, 0.01, 10000, 23)
+        trace = generate_trace(model, 0.01, 10000, 23)
         phase = np.unwrap(np.angle(trace.samples))
         assert np.ptp(phase) < 1e-4
 
@@ -164,14 +174,14 @@ class TestLaser:
 class TestJitteredLaser:
     def test_zero_band_matches_laser_bitwise(self):
         degenerate = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0)
-        a = gen_jittered_laser_trace(degenerate, 0.01, 5000, 42)
-        b = gen_laser_trace(LASER, 0.01, 5000, 42)
+        a = generate_trace(degenerate, 0.01, 5000, 42)
+        b = generate_trace(LASER, 0.01, 5000, 42)
         assert np.array_equal(a.samples, b.samples)
 
     def test_constant_modulus(self):
         model = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
                               jitter_band=100.0, jitter_corr_time=10.0)
-        trace = gen_jittered_laser_trace(model, 5e-4, 20000, 9)
+        trace = generate_trace(model, 5e-4, 20000, 9)
         assert np.max(np.abs(trace.intensity() - 25.0)) < 1e-10
 
     def test_broadband_spectrum(self):
@@ -184,8 +194,8 @@ class TestJitteredLaser:
 
 class TestKSpaceProduct:
     def test_mode_moduli_are_deterministic(self):
-        a = gen_kspace_product_field(KSPACE, 0.01, 4000, 1, trace_index=0)
-        b = gen_kspace_product_field(KSPACE, 0.01, 4000, 1, trace_index=1)
+        a = generate_trace(KSPACE, 0.01, 4000, 1, trace_index=0)
+        b = generate_trace(KSPACE, 0.01, 4000, 1, trace_index=1)
         assert not np.array_equal(a.samples, b.samples)
         mod_a = np.abs(np.fft.ifft(a.samples))
         mod_b = np.abs(np.fft.ifft(b.samples))
@@ -194,17 +204,17 @@ class TestKSpaceProduct:
     def test_total_flux_matches_cw_value(self):
         # per-trace total flux is deterministic; the Lorentzian mode sum
         # approaches nu Gamma / 4 as the grid refines
-        trace = gen_kspace_product_field(KSPACE, 0.01, 40000, 1)
+        trace = generate_trace(KSPACE, 0.01, 40000, 1)
         assert trace.intensity().mean() == pytest.approx(25.0, rel=0.01)
 
     def test_duration_bound(self):
         with pytest.raises(ConfigurationError):
-            gen_kspace_product_field(KSPACE, 0.01, 500, 1)
+            generate_trace(KSPACE, 0.01, 500, 1)
 
 
 class TestPeriodicThermal:
     def test_exact_periodicity(self):
-        trace = gen_periodic_thermal_field(PERIODIC, 0.01, 4000, 3)
+        trace = generate_trace(PERIODIC, 0.01, 4000, 3)
         modes = np.fft.ifft(trace.samples)
         # wrapped continuation alpha(t_n) equals alpha(t_0) because every
         # mode phase advances by an exact multiple of 2 pi over the record
@@ -227,7 +237,7 @@ class TestPeriodicThermal:
 
 class TestFieldTrace:
     def test_properties(self):
-        trace = gen_laser_trace(LASER, 0.01, 2000, 1)
+        trace = generate_trace(LASER, 0.01, 2000, 1)
         assert trace.n_samples == 2000
         assert trace.duration == pytest.approx(20.0)
         assert trace.times[1] - trace.times[0] == pytest.approx(0.01)

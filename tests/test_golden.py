@@ -5,6 +5,9 @@ Each case runs at a tiny size and its text is compared with a fixture under
 number to a relative 1e-12.  The fixtures pin the CSV (stdout and ``--out``)
 and JSON bytes across refactors of the reduction and output code.
 
+``traces`` pins the first and last four samples of one trace of every
+generator family at a fixed seed and trace index.
+
 ``qslb-demo`` runs with 199 permutations instead of 4999 to stay fast; the
 output path is the same.
 
@@ -25,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from beamsim import cli
-from beamsim.fieldgen import BeamModelSpec, generate_ensemble
+from beamsim.fieldgen import FAMILIES, BeamModelSpec, generate_ensemble, generate_trace
 from beamsim.photonics import g2
 from beamsim.spectral import cross_mode_correlation, stationarity_test
 
@@ -84,6 +87,16 @@ def render(case: str, tmp: Path, monkeypatch) -> str:
                                      [(0.0, 0.0), (0.0, 2.0 * math.pi / 0.64)])
         est.to_csv(tmp / "out", {"seed": 5})
         return (tmp / "out").read_text()
+    if case == "traces":
+        lines = ["family,sample,re,im"]
+        for family in FAMILIES:
+            jitter = ({"jitter_band": 20.0, "jitter_corr_time": 10.0}
+                      if family == "jittered_laser" else {})
+            model = BeamModelSpec(family=family, nu=100.0, gamma=1.0, **jitter)
+            samples = generate_trace(model, 0.005, 4000, 5, trace_index=3).samples
+            lines += [f"{family},{j},{float(samples[j].real)!r},{float(samples[j].imag)!r}"
+                      for j in (0, 1, 2, 3, 3996, 3997, 3998, 3999)]
+        return "\n".join(lines) + "\n"
     if case == "g2-to-csv":
         g2(generate_ensemble(THERMAL, 0.01, 200, 5, 3), [0.0, 0.02]).to_csv(tmp / "out")
         return (tmp / "out").read_text()
@@ -96,7 +109,7 @@ def render(case: str, tmp: Path, monkeypatch) -> str:
     return _mask(text, tmp)
 
 
-CASES = ["simulate", "correlation-to-csv", "g2-to-csv"] + [
+CASES = ["simulate", "correlation-to-csv", "g2-to-csv", "traces"] + [
     f"{command}.{fmt}" for command in COMMANDS for fmt in FORMATS]
 
 

@@ -114,6 +114,11 @@ class TestG2:
         with pytest.raises(DomainError, match="finite and >= 0"):
             g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0, tau])
 
+    @pytest.mark.parametrize("burn_in", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_burn_in(self, burn_in):
+        with pytest.raises(DomainError, match="burn_in must be finite and >= 0"):
+            g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0], burn_in=burn_in)
+
 
 class TestPhotonCounts:
     def test_laser_fano_is_one(self):
@@ -209,6 +214,17 @@ class TestIntensitySamples:
                   *generate_ensemble(LASER, 0.005, 2000, 1, 1)]
         with pytest.raises(DomainError, match="share one time grid"):
             intensity_samples(traces, spacing=1.0)
+
+    @pytest.mark.parametrize("spacing", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_spacing(self, spacing):
+        with pytest.raises(DomainError, match="spacing must be finite and > 0"):
+            intensity_samples(generate_ensemble(LASER, 0.01, 200, 1, 2), spacing=spacing)
+
+    @pytest.mark.parametrize("burn_in", [-1.0, math.nan])
+    def test_rejects_bad_burn_in(self, burn_in):
+        with pytest.raises(DomainError, match="burn_in must be finite and >= 0"):
+            intensity_samples(generate_ensemble(LASER, 0.01, 200, 1, 2), spacing=1.0,
+                              burn_in=burn_in)
 
 
 class TestSweep:

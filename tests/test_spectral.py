@@ -361,9 +361,3 @@ class TestContainers:
         with pytest.raises(DomainError):
             SpectrumEstimate(grid=np.array([0.0, 1.0]), values=np.array([-1.0, 0.0]),
                              std_errors=np.zeros(2), ensemble_size=1)
-
-    def test_value_at_on_grid(self):
-        est = periodogram(constant_trace())
-        assert est.value_at(0.0) == pytest.approx(25.0 * 20.0, rel=1e-12)
-        with pytest.raises(DomainError):
-            est.value_at(0.123)

@@ -138,6 +138,27 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="malformed"):
             trace_from_bytes(data)
 
+    @pytest.mark.parametrize("edit", [{"dt": "x"}, {"dt": None}, {"dt": True},
+                                      {"master_seed": "s"}, {"master_seed": 4.0},
+                                      {"trace_index": None}, {"trace_index": False}])
+    def test_header_value_types(self, edit):
+        data = reencoded(trace_to_bytes(make_trace()), lambda h: h.update(edit))
+        with pytest.raises(ConfigurationError, match="real dt and integer master_seed"):
+            trace_from_bytes(data)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_header_dt_out_of_domain(self, dt):
+        data = reencoded(trace_to_bytes(make_trace()), lambda h: h.update(dt=dt))
+        with pytest.raises(ConfigurationError, match="dt must be finite and > 0"):
+            trace_from_bytes(data)
+
+    def test_header_model_out_of_domain(self, tmp_path):
+        path = tmp_path / "model.ftrc"
+        path.write_bytes(reencoded(trace_to_bytes(make_trace()),
+                                   lambda h: h["model"].update(gamma=-1.0)))
+        with pytest.raises(ConfigurationError, match="model.ftrc: trace header model invalid"):
+            read_trace(path)
+
     def test_read_trace_names_the_file(self, tmp_path):
         path = tmp_path / "bad.ftrc"
         path.write_bytes(b"FTRC\x01")
