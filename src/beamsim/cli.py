@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from . import radiometry
 from .fieldgen import FAMILIES, BeamModelSpec, Ensemble, generate_ensemble
 from .photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
 from .spectral import (
+    _check_significance,
     _write_csv,
     periodogram_distribution_test,
     report_to_json,
@@ -148,8 +150,16 @@ def _grid_from_args(args: argparse.Namespace) -> tuple[float, int]:
     return args.dt, n
 
 
+def _seed_from_args(args: argparse.Namespace) -> int:
+    _require(args, "seed")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
 def _ensemble_from_args(args: argparse.Namespace):
-    """Traces from --in files (sorted) or generated inline."""
+    """Traces from --in files (sorted) or generated inline; the inline
+    ensemble's size, grid and seed are checked before any trace is made."""
     if getattr(args, "in_dir", None):
         paths = sorted(Path(args.in_dir).glob("*.ftrc"))
         if not paths:
@@ -157,8 +167,9 @@ def _ensemble_from_args(args: argparse.Namespace):
         return Ensemble(lambda i: read_trace(paths[i]), range(len(paths)))
     model = _model_from_args(args)
     dt, n = _grid_from_args(args)
-    _require(args, "seed", "traces")
-    return generate_ensemble(model, dt, n, args.seed, args.traces)
+    seed = _seed_from_args(args)
+    _require(args, "traces")
+    return generate_ensemble(model, dt, n, seed, args.traces)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +211,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     dt, n = _grid_from_args(args)
     _require(args, "seed", "traces", "out")
+    # checks the trace count and the grid: nothing is written for a bad run
+    traces = generate_ensemble(model, dt, n, _seed_from_args(args), args.traces)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     width = max(5, len(str(args.traces - 1)))
     flux_sum = 0.0
     files = []
-    for trace in generate_ensemble(model, dt, n, args.seed, args.traces):
+    for trace in traces:
         path = out_dir / f"trace_{trace.trace_index:0{width}d}.ftrc"
         write_trace(trace, path)
         files.append(path.name)
@@ -219,7 +232,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "expected_flux": model.mean_flux,
         "degenerate": model.nu == 0.0,
     }
-    report_to_json(out_dir / "run.json", manifest)
+    # the manifest comes last and whole: a run cut short leaves none
+    partial = out_dir / "run.json.partial"
+    report_to_json(partial, manifest)
+    os.replace(partial, out_dir / "run.json")
     tag = " (degenerate: nu = 0, zero field)" if model.nu == 0.0 else ""
     print(f"wrote {args.traces} traces to {out_dir}{tag}")
     print(f"mean flux {mean_flux:.6g}  expected nu*Gamma/4 = {model.mean_flux:.6g}")
@@ -262,7 +278,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     model = BeamModelSpec(family="jittered_laser", nu=args.nu, gamma=args.gamma,
                           jitter_band=jitter_band, jitter_corr_time=jitter_corr_time)
     fwhms = [float(x) * args.gamma for x in args.fwhms.split(",")]
-    rows = filtered_laser_sweep(model, fwhms, dt, n, args.seed, args.traces,
+    rows = filtered_laser_sweep(model, fwhms, dt, n, _seed_from_args(args), args.traces,
                                 center_detuning=args.filter_center)
     payload = {"sweep": [{"fwhm": r.fwhm, "value": r.g2_zero, "std_error": r.std_error,
                           "ensemble_size": r.ensemble_size} for r in rows]}
@@ -276,11 +292,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_qslb_demo(args: argparse.Namespace) -> int:
     _require(args, "nu", "gamma", "seed", "traces")
     dt, n = _grid_from_args(args)
+    seed = _seed_from_args(args)
+    _check_significance(args.significance)   # before any ensemble is generated
     results = []
     for family in ("thermal", "laser", "kspace_product"):
         model = BeamModelSpec(family=family, nu=args.nu, gamma=args.gamma)
         W, carrier = windowed_means_and_carrier_powers(
-            generate_ensemble(model, dt, n, args.seed, args.traces), args.windows)
+            generate_ensemble(model, dt, n, seed, args.traces), args.windows)
         stat = stationarity_test(W, significance=args.significance)
         law = periodogram_distribution_test(carrier, significance=args.significance)
         results.append({

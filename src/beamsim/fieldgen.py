@@ -113,8 +113,7 @@ class FieldTrace:
             raise DomainError(f"dt must be finite and > 0, got {self.dt!r}")
         if samples.ndim != 1 or samples.size < 2:
             raise DomainError("trace must hold at least 2 samples")
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise DomainError("trace contains non-finite samples")
+        _check_finite(samples)
 
     @property
     def n_samples(self) -> int:
@@ -133,16 +132,16 @@ class FieldTrace:
         return self.samples.real**2 + self.samples.imag**2
 
 
+def _check_finite(samples: np.ndarray) -> None:
+    if not np.all(np.isfinite(samples.view(np.float64))):
+        raise DomainError("trace contains non-finite samples")
+
+
 def _check_dt(model: BeamModelSpec, dt: float, n: int) -> None:
     bound = 0.01 / model.gamma
     if dt > bound * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt={dt:g} too coarse for gamma={model.gamma:g}; require dt <= 0.01/gamma = {bound:g}"
-        )
-    if model.jitter_band * dt > 0.1:
-        warnings.warn(
-            f"dt*jitter_band = {model.jitter_band * dt:.3g} > 0.1; jitter phase steps are coarse",
-            stacklevel=3,
         )
 
 
@@ -161,25 +160,37 @@ def _ou_step_coefficients(nu: float, gamma: float, dt: float) -> tuple[float, fl
     return a, sigma2
 
 
-def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n unit-variance complex normals: n real parts drawn first, then n imaginary parts."""
-    re = rng.standard_normal(n)
-    im = rng.standard_normal(n)
+# Every samples function below takes a range of consecutive trace indices and
+# returns a (len(indices), n) block whose row r holds trace indices[r], drawn
+# from trace_rng(master_seed, indices[r], channel) alone and in the same order
+# for any block.  The recursions, FFTs and exponentials then run once over the
+# whole block; each row comes out bit for bit as it does in a block of one.
+
+def _complex_normals(master_seed: int, indices: range, n: int) -> np.ndarray:
+    """n unit-variance complex normals per trace: n real parts drawn first,
+    then n imaginary parts."""
+    re = np.empty((len(indices), n))
+    im = np.empty((len(indices), n))
+    for r, index in enumerate(indices):
+        rng = trace_rng(master_seed, index)
+        rng.standard_normal(out=re[r])
+        rng.standard_normal(out=im[r])
     return (re + 1j * im) / math.sqrt(2.0)
 
 
 def _thermal(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-             trace_index: int) -> np.ndarray:
+             indices: range) -> np.ndarray:
     """Exact-discretization complex OU process with kernel exp(-Gamma tau / 2)."""
     a, sigma2 = _ou_step_coefficients(model.nu, model.gamma, dt)
-    w = _complex_normals(trace_rng(master_seed, trace_index), n)
-    x = w * math.sqrt(sigma2)
-    x[0] = w[0] * math.sqrt(model.mean_flux)  # stationary initial sample
-    return lfilter([1.0], [1.0, -a], x)
+    x = _complex_normals(master_seed, indices, n)
+    x0 = x[:, 0] * math.sqrt(model.mean_flux)  # stationary initial sample
+    x *= math.sqrt(sigma2)
+    x[:, 0] = x0
+    return lfilter([1.0], [1.0, -a], x, axis=1)
 
 
 def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-           trace_index: int) -> np.ndarray:
+           indices: range) -> np.ndarray:
     """Constant-modulus field with phase phi_0 uniform on [0, 2pi), then
     phi_{j+1} = phi_j + sqrt(Gamma dt) g_j.
 
@@ -188,20 +199,33 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     standard deviation jitter_band/2 and the given correlation time, drawn on
     its own channel.  At zero band the trace is the plain laser's bit for bit.
     """
-    rng = trace_rng(master_seed, trace_index)
-    phi0 = rng.uniform(0.0, TWO_PI)
-    inc = math.sqrt(model.gamma * dt) * rng.standard_normal(n - 1)
+    k = len(indices)
+    phi0 = np.empty(k)
+    inc = np.empty((k, n - 1))
+    for r, index in enumerate(indices):
+        rng = trace_rng(master_seed, index)
+        phi0[r] = rng.uniform(0.0, TWO_PI)
+        rng.standard_normal(out=inc[r])
+    inc *= math.sqrt(model.gamma * dt)
     if model.jitter_band > 0:
-        jrng = trace_rng(master_seed, trace_index, _CHANNEL_JITTER)
         s = model.jitter_band / 2.0
         aj = math.exp(-dt / model.jitter_corr_time)
-        h = jrng.standard_normal(n - 1) * (s * math.sqrt(1.0 - aj * aj))
-        h[0] = jrng.standard_normal() * s  # stationary start (consumes one extra draw)
-        inc += lfilter([1.0], [1.0, -aj], h) * dt
-    phi = np.empty(n)
-    phi[0] = phi0
-    np.cumsum(inc, out=phi[1:])
-    phi[1:] += phi0
+        h = np.empty((k, n - 1))
+        h0 = np.empty(k)
+        for r, index in enumerate(indices):
+            if model.jitter_band * dt > 0.1:   # once per trace
+                warnings.warn(f"dt*jitter_band = {model.jitter_band * dt:.3g} > 0.1; "
+                              "jitter phase steps are coarse", stacklevel=4)
+            jrng = trace_rng(master_seed, index, _CHANNEL_JITTER)
+            jrng.standard_normal(out=h[r])
+            h0[r] = jrng.standard_normal()
+        h *= s * math.sqrt(1.0 - aj * aj)
+        h[:, 0] = h0 * s  # stationary start (consumes one extra draw)
+        inc += lfilter([1.0], [1.0, -aj], h, axis=1) * dt
+    phi = np.empty((k, n))
+    phi[:, 0] = phi0
+    np.cumsum(inc, axis=1, out=phi[:, 1:])
+    phi[:, 1:] += phi0[:, np.newaxis]
     return math.sqrt(model.mean_flux) * np.exp(1j * phi)
 
 
@@ -212,23 +236,29 @@ def _mode_grid(dt: float, n: int) -> np.ndarray:
 
 def _from_modes(model: BeamModelSpec, dt: float, n: int, unit: np.ndarray) -> np.ndarray:
     """alpha_j = sum_l A_l exp(-i omega_l t_j) with A_l = unit_l sqrt(nu f(omega_l) / duration),
-    so that E|A_l|^2 = nu f(omega_l) / duration and the mean flux is ~ nu Gamma / 4."""
+    so that E|A_l|^2 = nu f(omega_l) / duration and the mean flux is ~ nu Gamma / 4.
+    Computed in the buffer of `unit`."""
     mean_photons = model.nu * lorentzian(_mode_grid(dt, n), model.gamma) / (n * dt)
-    return np.fft.fft(np.sqrt(mean_photons) * unit)
+    unit *= np.sqrt(mean_photons)
+    return np.fft.fft(unit, axis=1, out=unit)
 
 
 def _kspace_product(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                    trace_index: int) -> np.ndarray:
+                    indices: range) -> np.ndarray:
     """Per-frequency-mode product of laser states: deterministic moduli and
     independent uniform phases."""
-    theta = trace_rng(master_seed, trace_index).uniform(0.0, TWO_PI, n)
-    return _from_modes(model, dt, n, np.exp(1j * theta))
+    theta = np.empty((len(indices), n))
+    for r, index in enumerate(indices):
+        theta[r] = trace_rng(master_seed, index).uniform(0.0, TWO_PI, n)
+    unit = 1j * theta
+    del theta
+    return _from_modes(model, dt, n, np.exp(unit, out=unit))
 
 
 def _periodic_thermal(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                      trace_index: int) -> np.ndarray:
+                      indices: range) -> np.ndarray:
     """Exactly periodic thermal realization: independent complex-Gaussian modes."""
-    return _from_modes(model, dt, n, _complex_normals(trace_rng(master_seed, trace_index), n))
+    return _from_modes(model, dt, n, _complex_normals(master_seed, indices, n))
 
 
 # family -> (grid check, samples function)
@@ -241,26 +271,46 @@ _GENERATORS = {
 }
 
 
+def _checked_samples(model: BeamModelSpec, dt: float, n: int, master_seed: int,
+                     indices: range) -> np.ndarray:
+    check, samples = _GENERATORS[model.family]
+    check(model, dt, n)
+    return samples(model, dt, n, master_seed, indices)
+
+
+def generate_block(model: BeamModelSpec, dt: float, n: int, master_seed: int,
+                   indices: range) -> np.ndarray:
+    """The samples of traces `indices` (consecutive) on the grid (dt, n), as
+    the rows of a (len(indices), n) block.  Row r equals
+    generate_trace(model, dt, n, master_seed, indices[r]).samples bit for bit."""
+    block = _checked_samples(model, dt, n, master_seed, indices)
+    _check_finite(block)
+    return block
+
+
 def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                    trace_index: int = 0) -> FieldTrace:
     """One trace of the model's family on the grid (dt, n).  Its draws come
     only from trace_rng(master_seed, trace_index, channel)."""
-    check, samples = _GENERATORS[model.family]
-    check(model, dt, n)
-    return FieldTrace(samples=samples(model, dt, n, master_seed, trace_index), dt=dt,
-                      model=model, master_seed=master_seed, trace_index=trace_index)
+    samples = _checked_samples(model, dt, n, master_seed, range(trace_index, trace_index + 1))
+    return FieldTrace(samples=samples[0], dt=dt, model=model, master_seed=master_seed,
+                      trace_index=trace_index)
 
 
 class Ensemble:
     """Iterator over `make(i)` for each trace index i in `indices`, in order.
 
     Each trace depends only on its index, so a consumer may instead take the
-    indices not yet pulled (`take_rest`) and call `make` itself, on any thread
-    and in any order.
+    indices not yet pulled (`take_rest`) and make them itself, on any thread
+    and in any order: one at a time with `make`, or, if `make_block` is given,
+    a range of consecutive indices at once as the rows of one array (see
+    generate_block), on the grid of the traces `make` returns.
     """
 
-    def __init__(self, make: Callable[[int], FieldTrace], indices: range):
+    def __init__(self, make: Callable[[int], FieldTrace], indices: range,
+                 make_block: Optional[Callable[[range], np.ndarray]] = None):
         self.make = make
+        self.make_block = make_block
         self._rest = indices
 
     def __iter__(self) -> "Ensemble":
@@ -280,8 +330,13 @@ class Ensemble:
 
 def generate_ensemble(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                       n_traces: int, start_index: int = 0) -> Ensemble:
-    """Lazily generate n_traces independent traces with consecutive trace indices."""
+    """Lazily generate n_traces independent traces with consecutive trace
+    indices.  The trace count and the grid are checked here, before any
+    trace is made."""
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
-    return Ensemble(functools.partial(generate_trace, model, dt, n, master_seed),
-                    range(start_index, start_index + n_traces))
+    _GENERATORS[model.family][0](model, dt, n)   # the grid check
+    args = (model, dt, n, master_seed)
+    return Ensemble(functools.partial(generate_trace, *args),
+                    range(start_index, start_index + n_traces),
+                    functools.partial(generate_block, *args))

@@ -24,7 +24,7 @@ from .fieldgen import (
     _CHANNEL_COUNTS,
     _mode_grid,
 )
-from .spectral import _branches_in_flight, _float_cells, _ordered_map, _scan, _write_csv
+from .spectral import _chunking, _float_cells, _ordered_map, _scan, _write_csv
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -129,12 +129,16 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
         if np.max(lags, initial=0) >= n - skip:
             raise DomainError("tau exceeds the analysable trace length")
 
-        def row(trace):
+        def row(block):
             # time-mean intensity, then the time-mean of I(t) I(t+tau) per lag
-            intensity = trace.intensity()[skip:]
-            return [intensity.mean()] + [
-                np.mean(intensity * intensity) if lag == 0
-                else np.mean(intensity[:-lag] * intensity[lag:]) for lag in lags]
+            intensity = (block.real**2 + block.imag**2)[:, skip:]
+            out = np.empty((len(block), 1 + len(lags)))
+            out[:, 0] = intensity.mean(axis=1)
+            for j, lag in enumerate(lags, 1):
+                product = (intensity * intensity if lag == 0
+                           else intensity[:, :-lag] * intensity[:, lag:])
+                out[:, j] = product.mean(axis=1)
+            return out
         return row
 
     dt, count, rows = _scan(traces, setup)
@@ -203,7 +207,11 @@ def intensity_samples(traces: Iterable[FieldTrace], spacing: float,
     def setup(dt: float, n: int):
         skip = _burn_in_samples(dt, n, burn_in)
         step = max(1, int(round(spacing / dt)))
-        return lambda trace: trace.intensity()[skip::step]
+
+        def row(block):
+            sampled = block[:, skip::step]
+            return sampled.real**2 + sampled.imag**2
+        return row
 
     return _scan(traces, setup)[2].ravel()
 
@@ -224,7 +232,7 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
     Each trace is transformed once; every filter reuses the transform.  The
     per-filter burn-in is max(10/fwhm, 10/Gamma) and must leave at least half
     of the trace for analysis.  Traces too large for the scan to pool spread
-    their filters over the pool instead (`spectral._branches_in_flight`).
+    their filters over the pool instead (`spectral._chunking`).
     """
     filters = [FilterSpec(center_detuning=center_detuning, fwhm=f) for f in fwhm_list]
     burns = [max(f.suggested_burn_in(), 10.0 / model.gamma) for f in filters]
@@ -238,26 +246,27 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
     responses = [f.amplitude_response(omega) for f in filters]
     del omega
     skips = [int(round(b / dt)) for b in burns]
-    window = _branches_in_flight(n)
+    window = _chunking(n)[2]
 
     def moments(branch):
         # time-mean intensity and time-mean squared intensity past the
-        # burn-in, computed in the buffer of the filtered modes
+        # burn-in, per trace, computed in the buffer of the filtered modes
         filtered, skip = branch
-        np.fft.fft(filtered, out=filtered)
-        re, im = filtered.real[skip:], filtered.imag[skip:]
+        np.fft.fft(filtered, axis=1, out=filtered)
+        re, im = filtered.real[:, skip:], filtered.imag[:, skip:]
         np.square(re, out=re)
         np.square(im, out=im)
         re += im
-        mean = re.mean()
+        mean = re.mean(axis=1)
         np.square(re, out=re)
-        return mean, re.mean()
+        return mean, re.mean(axis=1)
 
-    def row(trace):
-        modes = np.fft.ifft(trace.samples)
+    def row(block):
+        modes = np.fft.ifft(block, axis=1)
         # each product is allocated here, one branch at a time, as it is pulled
         branches = ((modes * resp, skip) for resp, skip in zip(responses, skips))
-        return [m for pair in _ordered_map(moments, branches, window) for m in pair]
+        return np.column_stack([m for pair in _ordered_map(moments, branches, window)
+                                for m in pair])
 
     _, count, rows = _scan(generate_ensemble(model, dt, n, master_seed, n_traces),
                            lambda dt, n: row)

@@ -154,14 +154,15 @@ def _fft_bin(dt: float, n: int, detuning: float) -> int:
     return l % n
 
 
-def _amplitude_transform(trace: FieldTrace) -> np.ndarray:
-    """u~(w_l) in numpy fft ordering; |u~|^2 is the periodogram."""
-    return math.sqrt(trace.duration) * np.fft.ifft(trace.samples)
+def _amplitude_transform(samples: np.ndarray, dt: float, bins=slice(None)) -> np.ndarray:
+    """u~(w_l) of each trace (the last axis) at DFT bins `bins` (all by
+    default) in numpy fft ordering; |u~|^2 is the periodogram."""
+    return math.sqrt(samples.shape[-1] * dt) * np.fft.ifft(samples, axis=-1)[..., bins]
 
 
-def _power(trace: FieldTrace) -> np.ndarray:
-    """Single-shot periodogram |u~|^2 in numpy fft ordering."""
-    u = _amplitude_transform(trace)
+def _power(samples: np.ndarray, dt: float) -> np.ndarray:
+    """Single-shot periodogram |u~|^2 of each trace in numpy fft ordering."""
+    u = _amplitude_transform(samples, dt)
     return u.real**2 + u.imag**2
 
 
@@ -176,8 +177,13 @@ def _sorted_estimate(dt: float, values: np.ndarray, std_errors: np.ndarray,
 
 def periodogram(trace: FieldTrace) -> SpectrumEstimate:
     """Single-shot periodogram |u~(w)|^2 on the trace's DFT grid."""
-    p = _power(trace)
+    p = _power(trace.samples, trace.dt)
     return _sorted_estimate(trace.dt, p, np.zeros_like(p), 1)
+
+
+def _check_significance(significance: float) -> None:
+    if not 0.0 < significance < 1.0:   # NaN fails too
+        raise DomainError(f"significance must lie in (0, 1), got {significance!r}")
 
 
 def _check_same_grid(trace: FieldTrace, dt: float, n: int) -> None:
@@ -185,35 +191,34 @@ def _check_same_grid(trace: FieldTrace, dt: float, n: int) -> None:
         raise DomainError("ensemble traces must share one time grid")
 
 
-RowSetup = Callable[[float, int], Callable[[FieldTrace], Sequence[float]]]
+RowSetup = Callable[[float, int], Callable[[np.ndarray], np.ndarray]]
 
 # Rows are computed on one shared thread pool of one worker per usable core:
 # the normal draws, lfilter, the FFTs and large ufuncs release the GIL.
 # Results are consumed in trace order, so no output depends on the count.
 _WORKERS = len(os.sched_getaffinity(0))
-# At most this many bytes of complex128 traces are in flight at once.
-_IN_FLIGHT_BYTES = 8 << 20
-# Below this many bytes per trace, handing the GIL back and forth between
-# threads costs more than the native work they overlap (n = 4000 ran 12-22%
-# slower pooled on 2 cores, n = 8000 27-32% faster).
-_MIN_POOLED_BYTES = 64 << 10
+# A block of traces holds at most this many bytes of complex128 samples.
+# Blocks of 6 to 13 traces of 5000 samples reduced about equally fast on 2
+# cores.  Smaller blocks add less to the peak memory: glibc raises its mmap
+# and trim thresholds to the largest mapped block freed, and then keeps up
+# to twice that much freed memory in the process.
+_BLOCK_BYTES = 512 << 10
 
 
-def _in_flight(n: int) -> int:
-    """Traces of n samples to keep in flight: two per worker within the byte
-    cap; below 2 (a serial scan) for traces too small or too large."""
-    if 16 * n < _MIN_POOLED_BYTES:
-        return 1
-    return min(2 * _WORKERS, _IN_FLIGHT_BYTES // (16 * n))
+def _chunking(n: int) -> tuple[int, int, int]:
+    """The one chunk rule for traces of n samples: (traces per block, blocks
+    in flight, branches of one row in flight).
 
-
-def _branches_in_flight(n: int) -> int:
-    """Independent branches of one row of an n-sample trace to keep in
-    flight: one per worker when the scan is serial because two such traces
-    do not fit in the byte cap; else 1 (the branches run serially)."""
-    if 16 * n >= _MIN_POOLED_BYTES and _IN_FLIGHT_BYTES // (16 * n) < 2:
-        return _WORKERS
-    return 1
+    A block holds as many traces as fit in _BLOCK_BYTES, at least one; its
+    size never depends on the worker count, and no output depends on it.
+    Two blocks per worker are in flight, within 16 blocks' bytes (8 MiB).
+    Fewer than two (traces over 8 blocks' bytes, such as the 10^6-sample
+    sweep) means a serial scan; the independent branches of each row (the
+    sweep's filters) then go to the pool instead, one per worker.
+    """
+    per_block = max(1, _BLOCK_BYTES // (16 * n))
+    blocks = min(2 * _WORKERS, 16 * _BLOCK_BYTES // (16 * n * per_block))
+    return per_block, blocks, (_WORKERS if blocks < 2 else 1)
 
 
 # Set on the pool's own threads: a row running there must not wait on tasks
@@ -267,21 +272,50 @@ def _ordered_map(fn: Callable, items: Iterable, window: int) -> Iterator:
         wait(pending)
 
 
+def _stacked(traces: Iterator[FieldTrace], dt: float, n: int, size: int) -> Iterator[np.ndarray]:
+    """The samples of `traces`, each checked against the grid (dt, n), as the
+    rows of blocks of up to `size` traces (a one-trace block is a view, not a
+    copy).  A failed pull or check first yields the block of the traces
+    before it, then raises."""
+    def block(rows):
+        return rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
+
+    rows = []
+    try:
+        for trace in traces:
+            _check_same_grid(trace, dt, n)
+            rows.append(trace.samples)
+            if len(rows) == size:
+                yield block(rows)
+                rows = []
+    except Exception:
+        if rows:
+            yield block(rows)
+        raise
+    if rows:
+        yield block(rows)
+
+
 def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
           fold: bool = False) -> tuple[float, int, np.ndarray]:
     """One pass over an ensemble: the reduction core of every estimator.
 
     The first trace fixes the time grid (dt, n); every later trace must share
     it.  `setup(dt, n)` runs once on that grid and returns `row`, which turns
-    one trace into a 1-D row of numbers.  Rows are stacked into a
-    (traces, width) matrix, or with `fold` summed into a (2, width) matrix of
-    sums and sums of squares, so that wide rows (a whole periodogram) are
-    never kept per trace.  Returns (dt, number of traces, matrix).
+    a (k, n) block of traces into a (k, width) block of rows of numbers.
+    Rows are stacked into a (traces, width) matrix, or with `fold` summed
+    into a (2, width) matrix of sums and sums of squares, so that wide rows
+    (a whole periodogram) are never kept per trace.  Returns (dt, number of
+    traces, matrix).
 
-    Later traces are turned into rows on the shared pool, unless their size
-    rules it out (`_in_flight`).  An `Ensemble` is generated or read there
-    too, one task per trace; other iterables are pulled in the calling
-    thread.  Rows are stacked or folded here, in trace order.
+    Later traces go through `row` in blocks of consecutive traces on the
+    shared pool, sized and kept in flight by `_chunking`.  An `Ensemble` is
+    generated or read there too, one task per block (with its `make_block`,
+    else trace by trace); traces from other iterables are pulled and stacked
+    in the calling thread.  Rows are stacked or folded here, one by one in
+    trace order, so every output is bit-identical for any worker count or
+    block size, and an error surfaces at the trace where a serial scan
+    raises it.
     """
     traces = iter(traces)
     first = next(traces, None)
@@ -289,37 +323,46 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
         raise DomainError("empty ensemble")
     dt, n = first.dt, first.n_samples
     row = setup(dt, n)
-    first_row = row(first)
+    first_rows = row(first.samples[np.newaxis])
     del first   # a trace can be large: do not hold it through the scan
-
-    def checked_row(trace: FieldTrace):
-        _check_same_grid(trace, dt, n)
-        return row(trace)
+    per_block, window, _ = _chunking(n)
 
     if isinstance(traces, Ensemble):
-        fn, items = (lambda index: checked_row(traces.make(index))), traces.take_rest()
+        rest = traces.take_rest()
+        items = (rest[i:i + per_block] for i in range(0, len(rest), per_block))
+        make, make_block = traces.make, traces.make_block
+        if make_block is not None:
+            def fn(indices):
+                return row(make_block(indices))
+        else:
+            def fn(indices):
+                for block in _stacked(map(make, indices), dt, n, len(indices)):
+                    rows = row(block)
+                return rows
     else:
-        fn, items = checked_row, traces
+        fn, items = row, _stacked(traces, dt, n, per_block)
     rows: list | np.ndarray = []
     count = 0
-    with closing(_ordered_map(fn, items, _in_flight(n))) as later:
-        for values in chain([first_row], later):
+    with closing(_ordered_map(fn, items, window)) as later:
+        for block_rows in chain([first_rows], later):
             if not fold:
-                rows.append(values)
+                rows.append(block_rows)
             else:
                 if count == 0:
-                    rows = np.zeros((2, len(values)))
-                rows[0] += values
-                rows[1] += values * values
-            count += 1
+                    rows = np.zeros((2, block_rows.shape[1]))
+                for values in block_rows:
+                    rows[0] += values
+                    rows[1] += values * values
+            count += len(block_rows)
     if count < least:
         raise DomainError(f"need at least {least} traces")
-    return dt, count, np.asarray(rows)
+    return dt, count, rows if fold else np.concatenate(rows)
 
 
 def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
     """Ensemble-averaged periodogram with per-bin Monte Carlo standard errors."""
-    dt, count, (total, total_sq) = _scan(traces, lambda dt, n: _power, least=2, fold=True)
+    dt, count, (total, total_sq) = _scan(traces, lambda dt, n: functools.partial(_power, dt=dt),
+                                         least=2, fold=True)
     mean = total / count
     var = np.maximum(total_sq / count - mean**2, 0.0) * count / (count - 1)
     return _sorted_estimate(dt, mean, np.sqrt(var / count), count)
@@ -328,7 +371,11 @@ def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
 def _bin_power(detuning: float) -> RowSetup:
     def setup(dt: float, n: int):
         b = _fft_bin(dt, n, detuning)
-        return lambda trace: _power(trace)[b:b + 1]
+
+        def row(block):
+            u = _amplitude_transform(block, dt, slice(b, b + 1))
+            return u.real**2 + u.imag**2
+        return row
     return setup
 
 
@@ -343,6 +390,7 @@ def periodogram_distribution_test(values, significance: float = 1e-3) -> TestRep
     to the ensemble average."""
     from scipy import stats
 
+    _check_significance(significance)
     values = np.asarray(values, dtype=float)
     if values.size < 1000:
         raise DomainError(f"need >= 1000 traces, got {values.size}")
@@ -362,11 +410,18 @@ def cross_mode_correlation(traces: Iterable[FieldTrace],
         raise DomainError("need at least one detuning pair")
 
     def setup(dt: float, n: int):
-        bins = [(_fft_bin(dt, n, k), _fft_bin(dt, n, kp)) for k, kp in pairs]
+        bins = [_fft_bin(dt, n, k) for pair in pairs for k in pair]
 
-        def row(trace):
-            u = _amplitude_transform(trace)
-            return [u[bk] * np.conj(u[bkp]) for bk, bkp in bins]
+        def row(block):
+            u = _amplitude_transform(block, dt, bins)
+            a, b = u[:, 0::2], np.conj(u[:, 1::2])
+            # u~(k) u~*(k') in real arithmetic, rounded as the product of two
+            # complex scalars is: numpy's complex array product may fuse
+            # multiply-adds
+            products = np.empty(a.shape, np.complex128)
+            products.real = a.real * b.real - a.imag * b.imag
+            products.imag = a.real * b.imag + a.imag * b.real
+            return products
         return row
 
     _, count, products = _scan(traces, setup, least=2)
@@ -405,7 +460,11 @@ def _window_means(n_windows: int) -> RowSetup:
         if n < n_windows:
             raise DomainError("trace shorter than n_windows samples")
         w = n // n_windows
-        return lambda trace: trace.intensity()[: w * n_windows].reshape(n_windows, w).mean(axis=1)
+
+        def row(block):
+            intensity = block.real**2 + block.imag**2
+            return intensity[:, :w * n_windows].reshape(len(block), n_windows, w).mean(axis=2)
+        return row
     return setup
 
 
@@ -423,7 +482,7 @@ def windowed_means_and_carrier_powers(traces: Iterable[FieldTrace],
 
     def setup(dt: float, n: int):
         window_row, carrier_row = windows(dt, n), carrier(dt, n)
-        return lambda trace: np.append(window_row(trace), carrier_row(trace))
+        return lambda block: np.concatenate([window_row(block), carrier_row(block)], axis=1)
 
     rows = _scan(traces, setup)[2]
     return np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
@@ -453,6 +512,9 @@ def stationarity_test(W, significance: float = 1e-3, n_permutations: int = 4999,
     (two-sided).  A mixture of pulses has a deterministic per-trace total flux
     and lands in the far left tail of part 2.
     """
+    _check_significance(significance)
+    if n_permutations < 1:
+        raise DomainError(f"need n_permutations >= 1, got {n_permutations!r}")
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] < 4:
         raise DomainError("W must be a (traces, windows) matrix with >= 4 windows")

@@ -19,6 +19,7 @@ from beamsim.fieldgen import _ou_step_coefficients
 from beamsim.photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
 from beamsim.spectral import (
     _amplitude_transform,
+    _scan,
     estimate_fwhm,
     periodogram_bin_values,
     periodogram_distribution_test,
@@ -173,13 +174,15 @@ def test_criterion_6_finite_record_correction():
         duration = n * dt
         if n == 5000:
             # single pass collecting both the peak bin and the off-diagonal pair
-            p0, cross = [], []
-            for trace in generate_ensemble(model, dt, n, 61, n_traces):
-                u = _amplitude_transform(trace)
-                p0.append(abs(u[0]) ** 2)
-                cross.append(u[0] * np.conj(u[4]))
-            values = np.asarray(p0)
-            cross_vals = np.asarray(cross)
+            def peak_and_cross(dt, n):
+                def row(block):
+                    u = _amplitude_transform(block, dt)
+                    return np.column_stack([np.abs(u[:, 0]) ** 2, u[:, 0] * np.conj(u[:, 4])])
+                return row
+
+            rows = _scan(generate_ensemble(model, dt, n, 61, n_traces), peak_and_cross)[2]
+            values = rows[:, 0].real
+            cross_vals = rows[:, 1]
             off_duration = duration
         else:
             values = periodogram_bin_values(
@@ -271,7 +274,7 @@ def test_criterion_8_property_suites(tmp_path):
     # Parseval to 1e-10
     trace = next(generate_ensemble(
         BeamModelSpec(family="thermal", nu=100.0, gamma=1.0), 0.01, 20000, 84, 1))
-    u = _amplitude_transform(trace)
+    u = _amplitude_transform(trace.samples, trace.dt)
     lhs = float(np.sum(np.abs(u) ** 2)) * (TWO_PI / trace.duration) / TWO_PI
     rhs = float(np.sum(trace.intensity())) * trace.dt / trace.duration
     assert abs(lhs - rhs) < 1e-10 * rhs

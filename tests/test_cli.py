@@ -104,6 +104,26 @@ class TestDomainAndGridErrors:
                    "--duration", "20", "--burn-in", burn_in) == 3
         assert "burn_in must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("significance", ["nan", "0", "1", "-1", "2"])
+    def test_meaningless_significance(self, capsys, significance):
+        assert run("qslb-demo", *self.MODEL, "--dt", "0.01", "--duration", "20",
+                   "--significance", significance) == 3
+        captured = capsys.readouterr()
+        assert "significance must lie in (0, 1)" in captured.err
+        assert "Traceback" not in captured.err
+        assert "rejected" not in captured.out
+
+    @pytest.mark.parametrize("command", ["simulate", "spectrum", "g2", "sweep", "qslb-demo"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
+        family = () if command in ("sweep", "qslb-demo") else ("--family", "thermal")
+        out = tmp_path / "out"
+        assert run(command, *family, "--nu", "100", "--gamma", "1", "--traces", "2",
+                   "--seed", "-1", "--dt", "0.01", "--duration", "20", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "--seed must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimulate:
     ARGS = ("simulate", "--family", "laser", "--nu", "100", "--gamma", "1",
@@ -152,9 +172,36 @@ class TestSimulate:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path):
+        out = tmp_path / "x"
         assert run("simulate", "--family", "thermal", "--nu", "100", "--gamma", "1",
                    "--dt", "5", "--duration", "500", "--traces", "1",
-                   "--seed", "1", "--out", str(tmp_path / "x")) == 3
+                   "--seed", "1", "--out", str(out)) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [("--traces", "0"), ("--seed", "-1")])
+    def test_rejected_run_leaves_no_directory(self, tmp_path, capsys, bad):
+        out = tmp_path / "run"
+        args = list(self.ARGS)
+        args[args.index(bad[0]) + 1] = bad[1]
+        assert run(*args, "--out", str(out)) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        from beamsim import cli
+
+        write = cli.write_trace
+
+        def failing_write(trace, path):
+            if trace.trace_index == 2:
+                raise OSError("disk full")
+            write(trace, path)
+
+        monkeypatch.setattr(cli, "write_trace", failing_write)
+        out = tmp_path / "run"
+        assert run(*self.ARGS, "--out", str(out)) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["trace_00000.ftrc", "trace_00001.ftrc"]
 
 
 class TestSpectrum:

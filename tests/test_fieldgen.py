@@ -12,6 +12,7 @@ from beamsim.fieldgen import (
     FAMILIES,
     _GENERATORS,
     _ou_step_coefficients,
+    generate_block,
     generate_ensemble,
     generate_trace,
     lorentzian,
@@ -96,6 +97,48 @@ class TestReproducibility:
         traces = list(generate_ensemble(THERMAL, 0.01, 2000, 42, 3))
         single = generate_trace(THERMAL, 0.01, 2000, 42, trace_index=2)
         assert np.array_equal(traces[2].samples, single.samples)
+
+
+# (model, dt, n) for every family: the jittered laser with and without a band,
+# the frequency-mode families at an odd n
+BLOCK_CASES = {
+    "thermal": (THERMAL, 0.01, 2000),
+    "laser": (LASER, 0.01, 2001),
+    "jittered_laser": (BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
+                                     jitter_band=20.0, jitter_corr_time=10.0), 0.005, 2000),
+    "jittered_laser-zero-band": (BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0),
+                                 0.01, 2000),
+    "kspace_product": (KSPACE, 0.01, 2001),
+    "periodic_thermal": (PERIODIC, 0.01, 2001),
+}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    @pytest.mark.parametrize("size", [1, 3, 13])
+    def test_block_rows_equal_single_traces(self, case, size):
+        """17 traces from index 4 on, cut into blocks of `size` (the last one
+        short), equal the traces made one at a time, bit for bit."""
+        model, dt, n = BLOCK_CASES[case]
+        indices = range(4, 21)
+        rows = np.concatenate([generate_block(model, dt, n, 9, indices[i:i + size])
+                               for i in range(0, len(indices), size)])
+        assert rows.shape == (len(indices), n)
+        for row, index in zip(rows, indices):
+            assert np.array_equal(row, generate_trace(model, dt, n, 9, index).samples)
+
+    def test_block_checks_grid_and_finiteness(self):
+        with pytest.raises(ConfigurationError):
+            generate_block(THERMAL, 0.1, 2000, 9, range(3))
+        with pytest.raises(ConfigurationError):
+            generate_block(KSPACE, 0.01, 500, 9, range(3))
+        inf = BeamModelSpec(family="thermal", nu=1e308, gamma=1e3)
+        with pytest.raises(DomainError, match="non-finite"):
+            generate_block(inf, 1e-5, 100, 9, range(3))
+
+    def test_ensemble_checks_its_grid_before_any_trace(self):
+        with pytest.raises(ConfigurationError):
+            generate_ensemble(THERMAL, 0.1, 2000, 9, 3)
 
 
 class TestThermal:

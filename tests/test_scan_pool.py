@@ -1,5 +1,6 @@
-"""The pooled ensemble scan: the same numbers for any worker count, errors
-where the serial scan raises them, and no task left behind."""
+"""The pooled ensemble scan: the same numbers for any worker count and any
+block size, errors where the serial scan raises them, and no task left
+behind."""
 
 import math
 import sys
@@ -11,8 +12,8 @@ import pytest
 
 from beamsim import spectral
 from beamsim.errors import DomainError
-from beamsim.fieldgen import BeamModelSpec, Ensemble, generate_ensemble, generate_trace
-from beamsim.photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
+from beamsim.fieldgen import FAMILIES, BeamModelSpec, Ensemble, generate_ensemble, generate_trace
+from beamsim.photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2, intensity_samples
 from beamsim.spectral import (
     cross_mode_correlation,
     spectrum,
@@ -44,10 +45,15 @@ def assert_bitwise_equal(a, b):
         np.testing.assert_array_equal(np.asarray(x), np.asarray(y), strict=True)
 
 
+def block_bytes(traces, n=N):
+    """A block size of `traces` traces of n samples."""
+    return traces * 16 * n
+
+
 @pytest.fixture(autouse=True)
-def pool_small_traces(monkeypatch):
-    """Pool the small traces of these tests too."""
-    monkeypatch.setattr(spectral, "_MIN_POOLED_BYTES", 0)
+def small_blocks(monkeypatch):
+    """Split the small ensembles of these tests into several blocks."""
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes(3))
 
 
 @pytest.fixture
@@ -64,8 +70,8 @@ def fast_switching():
 @pytest.fixture(scope="module")
 def serial():
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_IN_FLIGHT_BYTES", 0)   # serial scans
-        mp.setattr(spectral, "_WORKERS", 1)           # serial sweep filters
+        mp.setattr(spectral, "_BLOCK_BYTES", 0)   # serial scans, one trace per block
+        mp.setattr(spectral, "_WORKERS", 1)       # serial sweep filters
         return estimates(lambda: generate_ensemble(THERMAL, DT, N, SEED, TRACES))
 
 
@@ -82,16 +88,76 @@ def test_bit_identical_for_any_worker_count(serial, monkeypatch, fast_switching,
     assert_bitwise_equal(pooled, serial)
 
 
-@pytest.mark.parametrize("constant, value", [("_IN_FLIGHT_BYTES", 2 * 16 * N - 1),
-                                              ("_MIN_POOLED_BYTES", 16 * N + 1)])
-def test_traces_outside_the_byte_bounds_run_serially(monkeypatch, constant, value):
+@pytest.mark.parametrize("block_traces", [1, 5, 13])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_bit_identical_for_any_block_size(serial, monkeypatch, fast_switching,
+                                          workers, block_traces):
+    monkeypatch.setattr(spectral, "_WORKERS", workers)
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes(block_traces))
+    pooled = estimates(lambda: generate_ensemble(THERMAL, DT, N, SEED, TRACES))
+    assert_bitwise_equal(pooled, serial)
+
+
+def family_estimates(family, n, start_index):
+    """Every block-row estimator on 17 traces of `family`, from trace start_index on."""
+    jitter = {"jitter_band": 5.0, "jitter_corr_time": 1.5} if family == "jittered_laser" else {}
+    model = BeamModelSpec(family=family, nu=100.0, gamma=1.0, **jitter)
+
+    def traces():
+        return generate_ensemble(model, DT, n, SEED, 17, start_index=start_index)
+
+    step = 2.0 * math.pi / (n * DT)
+    spec = spectrum(traces())
+    corr = cross_mode_correlation(traces(), [(0.0, 0.0), (step, step), (-step, 2 * step)])
+    g = g2(traces(), [0.0, 0.1, 0.5], burn_in=1.0)
+    windows, carrier = windowed_means_and_carrier_powers(traces(), 8)
+    samples = intensity_samples(traces(), spacing=0.3, burn_in=1.0)
+    return [spec.values, spec.std_errors, corr.values, corr.std_errors,
+            g.values, g.std_errors, windows, carrier, samples]
+
+
+@pytest.mark.parametrize("family, n", [(f, N + 1 if f in ("kspace_product", "periodic_thermal")
+                                         else N) for f in FAMILIES])
+def test_every_family_bit_identical_in_blocks(monkeypatch, family, n):
+    """Blocks of 1, 3 and 13 traces (the 16 after the first trace fill
+    neither 3 nor 13 evenly) at 1, 2 and 4 workers give the one-trace serial
+    scan's numbers bit for bit."""
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 0)
+    expected = family_estimates(family, n, 5)
+    for workers in (1, 2, 4):
+        for block_traces in (1, 3, 13):
+            monkeypatch.setattr(spectral, "_WORKERS", workers)
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes(block_traces, n))
+            assert_bitwise_equal(family_estimates(family, n, 5), expected)
+
+
+def test_traces_too_large_for_two_blocks_in_flight_run_serially(monkeypatch):
     def no_pool(workers):
         raise AssertionError("the pool was used")
 
     monkeypatch.setattr(spectral, "_executor", no_pool)
-    monkeypatch.setattr(spectral, constant, value)
+    monkeypatch.setattr(spectral, "_WORKERS", 1)
+    # a block of one trace, and 16 blocks' bytes hold just under two
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", (2 * 16 * N - 1) // 16)
     est = spectrum(generate_ensemble(THERMAL, DT, N, SEED, TRACES))
     assert est.ensemble_size == TRACES
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_small_traces_pool_in_blocks_sized_by_bytes(monkeypatch, workers):
+    """At the default block size, 99 traces after the first make blocks of
+    16 traces of 2000 samples and one of 3, whatever the worker count."""
+    monkeypatch.undo()
+    pool = RecordingExecutor()
+    monkeypatch.setattr(spectral, "_WORKERS", workers)
+    monkeypatch.setattr(spectral, "_executor", lambda w: pool)
+    try:
+        est = spectrum(generate_ensemble(THERMAL, DT, N, SEED, 100))
+        sizes = [f.result().shape[0] for f in pool.futures]
+    finally:
+        pool.shutdown()
+    assert est.ensemble_size == 100
+    assert sizes == [16] * 6 + [3]
 
 
 class RecordingExecutor(ThreadPoolExecutor):
@@ -106,8 +172,9 @@ class RecordingExecutor(ThreadPoolExecutor):
 
 
 def pooled_error(monkeypatch, make_traces):
-    """The exception of spectrum(make_traces()) on a recording pool, and
-    whether every task it submitted had finished when it surfaced."""
+    """The exception of spectrum(make_traces()) on a recording pool, the
+    serial scan's, whether every task it submitted had finished when it
+    surfaced, and how many tasks it submitted."""
     pool = RecordingExecutor()
     monkeypatch.setattr(spectral, "_WORKERS", 2)
     monkeypatch.setattr(spectral, "_executor", lambda workers: pool)
@@ -118,10 +185,9 @@ def pooled_error(monkeypatch, make_traces):
     finally:
         pool.shutdown()
     with monkeypatch.context() as mp, pytest.raises(DomainError) as serial:
-        mp.setattr(spectral, "_IN_FLIGHT_BYTES", 0)
+        mp.setattr(spectral, "_BLOCK_BYTES", 0)
         spectrum(make_traces())
-    assert len(pool.futures) > 2
-    return str(pooled.value), str(serial.value), all(settled)
+    return str(pooled.value), str(serial.value), all(settled), len(pool.futures)
 
 
 @pytest.mark.parametrize("k", [1, 5, TRACES - 1])
@@ -130,9 +196,12 @@ def test_mismatched_grid_raises_like_the_serial_scan(monkeypatch, k):
         for i in range(TRACES):
             yield generate_trace(THERMAL, DT, N + (i == k), SEED, i)
 
-    pooled, serial, settled = pooled_error(monkeypatch, traces)
+    pooled, serial, settled, tasks = pooled_error(monkeypatch, traces)
     assert pooled == serial == "ensemble traces must share one time grid"
     assert settled
+    # traces are pulled and checked here; those before trace k reach the
+    # pool in blocks of 3, the last one cut short by the mismatch
+    assert tasks == math.ceil((k - 1) / 3)
 
 
 def test_earliest_error_wins(monkeypatch):
@@ -145,9 +214,10 @@ def test_earliest_error_wins(monkeypatch):
 
     for traces in (lambda: Ensemble(make, range(TRACES)),
                    lambda: (make(i) for i in range(TRACES))):
-        pooled, serial, settled = pooled_error(monkeypatch, traces)
+        pooled, serial, settled, tasks = pooled_error(monkeypatch, traces)
         assert pooled == serial == "ensemble traces must share one time grid"
         assert settled
+        assert tasks >= 2
 
 
 def test_generation_error_raises_like_the_serial_scan(monkeypatch):
@@ -156,9 +226,11 @@ def test_generation_error_raises_like_the_serial_scan(monkeypatch):
             raise DomainError(f"trace {i} failed")
         return generate_trace(THERMAL, DT, N, SEED, i)
 
-    pooled, serial, settled = pooled_error(monkeypatch, lambda: Ensemble(make, range(TRACES)))
+    pooled, serial, settled, tasks = pooled_error(monkeypatch,
+                                                  lambda: Ensemble(make, range(TRACES)))
     assert pooled == serial == "trace 7 failed"
     assert settled
+    assert tasks > 2
 
 
 def test_generate_ensemble_is_an_iterator():
@@ -193,12 +265,14 @@ SWEEP_FWHMS = [100.0, 30.0, 10.0, 3.0, 1.0]
 
 
 def test_sweep_filters_pool_only_when_the_scan_cannot(monkeypatch):
+    monkeypatch.undo()   # the default 512 KiB blocks
     monkeypatch.setattr(spectral, "_WORKERS", 2)
-    monkeypatch.setattr(spectral, "_MIN_POOLED_BYTES", 64 << 10)
-    # (n, whether the scan pools, filter window) at the default 8 MiB budget
-    for n, pooled, filters in [(4000, False, 1), (262144, True, 1),
-                               (262145, False, 2), (10**6, False, 2)]:
-        assert (spectral._in_flight(n) >= 2, spectral._branches_in_flight(n)) == (pooled, filters)
+    # (n, traces per block, whether the scan pools, filter window)
+    for n, per_block, pooled, filters in [(4000, 8, True, 1), (32768, 1, True, 1),
+                                          (262144, 1, True, 1), (262145, 1, False, 2),
+                                          (10**6, 1, False, 2)]:
+        traces, blocks, branches = spectral._chunking(n)
+        assert (traces, blocks >= 2, branches) == (per_block, pooled, filters)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -209,14 +283,15 @@ def test_sweep_filters_on_the_pool_are_bit_identical(monkeypatch, fast_switching
 
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "_WORKERS", 1)
-        mp.setattr(spectral, "_IN_FLIGHT_BYTES", 0)
+        mp.setattr(spectral, "_BLOCK_BYTES", 0)
         expected = sweep()
     calls = []
     executor = spectral._executor
     monkeypatch.setattr(spectral, "_executor", lambda w: calls.append(w) or executor(w))
     monkeypatch.setattr(spectral, "_WORKERS", workers)
-    # below two sweep traces: the scan is serial, its filters are not
-    monkeypatch.setattr(spectral, "_IN_FLIGHT_BYTES", 2 * 16 * SWEEP_N - 1)
+    # 16 blocks' bytes hold just under two sweep traces: the scan is
+    # serial, its filters are not
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", (2 * 16 * SWEEP_N - 1) // 16)
     assert_bitwise_equal(sweep(), expected)
     assert calls == ([workers] * TRACES if workers > 1 else [])
 

@@ -152,6 +152,12 @@ class TestPeriodogramDistribution:
             generate_ensemble(model, 0.01, 2000, 5, 50), detuning=0.0)
         assert np.ptp(values) < 1e-9 * values.mean()
 
+    @pytest.mark.parametrize("significance", [math.nan, 0.0, 1.0, -1.0, 1.5])
+    def test_meaningless_significance_rejected(self, significance):
+        values = np.random.default_rng(2).exponential(size=1000)
+        with pytest.raises(DomainError, match="significance"):
+            periodogram_distribution_test(values, significance=significance)
+
     def test_requires_1000_traces(self):
         with pytest.raises(DomainError):
             periodogram_distribution_test(periodogram_bin_values(
@@ -277,6 +283,20 @@ class TestStationarity:
     def test_window_matrix_needs_four_windows(self):
         with pytest.raises(DomainError):
             stationarity_test(np.ones((10, 3)))
+
+    @pytest.mark.parametrize("significance", [math.nan, 0.0, 1.0, -1.0, 1.5])
+    def test_meaningless_significance_rejected(self, significance):
+        W = np.random.default_rng(2).random((20, 8))
+        with pytest.raises(DomainError, match="significance"):
+            stationarity_test(W, significance=significance)
+        with pytest.raises(DomainError, match="significance"):   # before the constant case
+            stationarity_test(np.ones((20, 8)), significance=significance)
+
+    @pytest.mark.parametrize("n_permutations", [0, -5])
+    def test_needs_a_permutation(self, n_permutations):
+        with pytest.raises(DomainError, match="n_permutations"):
+            stationarity_test(np.random.default_rng(2).random((20, 8)),
+                              n_permutations=n_permutations)
 
     def test_single_pass_matches_separate_reductions(self):
         def ensemble():
