@@ -226,7 +226,10 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     phi[:, 0] = phi0
     np.cumsum(inc, axis=1, out=phi[:, 1:])
     phi[:, 1:] += phi0[:, np.newaxis]
-    return math.sqrt(model.mean_flux) * np.exp(1j * phi)
+    field = np.exp(1j * phi)
+    del phi   # the phases go before the field is scaled, in place
+    field *= math.sqrt(model.mean_flux)
+    return field
 
 
 def _mode_grid(dt: float, n: int) -> np.ndarray:

@@ -157,7 +157,9 @@ def _fft_bin(dt: float, n: int, detuning: float) -> int:
 def _amplitude_transform(samples: np.ndarray, dt: float, bins=slice(None)) -> np.ndarray:
     """u~(w_l) of each trace (the last axis) at DFT bins `bins` (all by
     default) in numpy fft ordering; |u~|^2 is the periodogram."""
-    return math.sqrt(samples.shape[-1] * dt) * np.fft.ifft(samples, axis=-1)[..., bins]
+    u = np.fft.ifft(samples, axis=-1)[..., bins]
+    u *= math.sqrt(samples.shape[-1] * dt)   # in place: one n-sample temporary fewer
+    return u
 
 
 def _power(samples: np.ndarray, dt: float) -> np.ndarray:
@@ -205,19 +207,27 @@ _WORKERS = len(os.sched_getaffinity(0))
 _BLOCK_BYTES = 512 << 10
 
 
-def _chunking(n: int) -> tuple[int, int, int]:
+def _chunking(n: int, blocked: bool = True) -> tuple[int, int, int]:
     """The one chunk rule for traces of n samples: (traces per block, blocks
     in flight, branches of one row in flight).
 
-    A block holds as many traces as fit in _BLOCK_BYTES, at least one; its
-    size never depends on the worker count, and no output depends on it.
-    Two blocks per worker are in flight, within 16 blocks' bytes (8 MiB).
-    Fewer than two (traces over 8 blocks' bytes, such as the 10^6-sample
-    sweep) means a serial scan; the independent branches of each row (the
-    sweep's filters) then go to the pool instead, one per worker.
+    A block holds as many traces as fit in _BLOCK_BYTES, at least one, or
+    just one unless `blocked` (traces pulled or read one by one); its size
+    never depends on the worker count, and no output depends on it.  Two
+    blocks per worker are in flight, within 16 blocks' bytes (8 MiB).  A
+    block under an eighth of _BLOCK_BYTES (64 KiB: one trace of fewer than
+    4096 samples) is not worth a pool task, and the scan is serial: handing
+    the GIL between threads then costs more than the native work they
+    overlap.  Fewer than two blocks in flight (traces over 8 blocks' bytes,
+    such as the 10^6-sample sweep) means a serial scan too; the independent
+    branches of each row (the sweep's filters) then go to the pool instead,
+    one per worker.
     """
-    per_block = max(1, _BLOCK_BYTES // (16 * n))
-    blocks = min(2 * _WORKERS, 16 * _BLOCK_BYTES // (16 * n * per_block))
+    per_block = max(1, _BLOCK_BYTES // (16 * n)) if blocked else 1
+    block = 16 * n * per_block
+    if 8 * block < _BLOCK_BYTES:
+        return per_block, 1, 1
+    blocks = min(2 * _WORKERS, 16 * _BLOCK_BYTES // block)
     return per_block, blocks, (_WORKERS if blocks < 2 else 1)
 
 
@@ -272,30 +282,6 @@ def _ordered_map(fn: Callable, items: Iterable, window: int) -> Iterator:
         wait(pending)
 
 
-def _stacked(traces: Iterator[FieldTrace], dt: float, n: int, size: int) -> Iterator[np.ndarray]:
-    """The samples of `traces`, each checked against the grid (dt, n), as the
-    rows of blocks of up to `size` traces (a one-trace block is a view, not a
-    copy).  A failed pull or check first yields the block of the traces
-    before it, then raises."""
-    def block(rows):
-        return rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
-
-    rows = []
-    try:
-        for trace in traces:
-            _check_same_grid(trace, dt, n)
-            rows.append(trace.samples)
-            if len(rows) == size:
-                yield block(rows)
-                rows = []
-    except Exception:
-        if rows:
-            yield block(rows)
-        raise
-    if rows:
-        yield block(rows)
-
-
 def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
           fold: bool = False) -> tuple[float, int, np.ndarray]:
     """One pass over an ensemble: the reduction core of every estimator.
@@ -308,14 +294,14 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
     (a whole periodogram) are never kept per trace.  Returns (dt, number of
     traces, matrix).
 
-    Later traces go through `row` in blocks of consecutive traces on the
-    shared pool, sized and kept in flight by `_chunking`.  An `Ensemble` is
-    generated or read there too, one task per block (with its `make_block`,
-    else trace by trace); traces from other iterables are pulled and stacked
-    in the calling thread.  Rows are stacked or folded here, one by one in
-    trace order, so every output is bit-identical for any worker count or
-    block size, and an error surfaces at the trace where a serial scan
-    raises it.
+    Later traces go through `row` on the shared pool, sized and kept in
+    flight by `_chunking`.  An `Ensemble` with `make_block` is generated
+    there in blocks of consecutive traces, one task per block.  Other traces
+    stay one per block: an `Ensemble` without it is made or read in its
+    task, one trace each, and traces from other iterables are pulled in the
+    calling thread.  Rows are stacked or folded here, one by one in trace
+    order, so every output is bit-identical for any worker count or block
+    size, and an error surfaces at the trace where a serial scan raises it.
     """
     traces = iter(traces)
     first = next(traces, None)
@@ -325,22 +311,24 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
     row = setup(dt, n)
     first_rows = row(first.samples[np.newaxis])
     del first   # a trace can be large: do not hold it through the scan
-    per_block, window, _ = _chunking(n)
+    blocked = isinstance(traces, Ensemble) and traces.make_block is not None
+    per_block, window, _ = _chunking(n, blocked)
 
-    if isinstance(traces, Ensemble):
-        rest = traces.take_rest()
+    def checked_row(trace: FieldTrace) -> np.ndarray:
+        _check_same_grid(trace, dt, n)
+        return row(trace.samples[np.newaxis])   # a one-trace block is a view
+
+    if blocked:
+        rest, make_block = traces.take_rest(), traces.make_block
         items = (rest[i:i + per_block] for i in range(0, len(rest), per_block))
-        make, make_block = traces.make, traces.make_block
-        if make_block is not None:
-            def fn(indices):
-                return row(make_block(indices))
-        else:
-            def fn(indices):
-                for block in _stacked(map(make, indices), dt, n, len(indices)):
-                    rows = row(block)
-                return rows
+
+        def fn(indices: range) -> np.ndarray:
+            return row(make_block(indices))
+    elif isinstance(traces, Ensemble):
+        make = traces.make
+        fn, items = (lambda index: checked_row(make(index))), traces.take_rest()
     else:
-        fn, items = row, _stacked(traces, dt, n, per_block)
+        fn, items = checked_row, traces
     rows: list | np.ndarray = []
     count = 0
     with closing(_ordered_map(fn, items, window)) as later:

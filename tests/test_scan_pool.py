@@ -160,6 +160,27 @@ def test_small_traces_pool_in_blocks_sized_by_bytes(monkeypatch, workers):
     assert sizes == [16] * 6 + [3]
 
 
+@pytest.mark.parametrize("source", ["pulled", "made one by one"])
+def test_traces_not_generated_in_blocks_stay_one_per_task(monkeypatch, source):
+    """Traces pulled from an iterable, or made by an Ensemble without
+    make_block (read from files, filtered), reach the pool one per task
+    where generated ones come three to a block."""
+    pool = RecordingExecutor()
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_executor", lambda w: pool)
+    traces = generate_ensemble(THERMAL, DT, N, SEED, 20)
+    try:
+        if source == "pulled":
+            est = spectrum(iter(list(traces)))
+        else:
+            est = spectrum(Ensemble(traces.make, traces.take_rest()))
+        sizes = [f.result().shape[0] for f in pool.futures]
+    finally:
+        pool.shutdown()
+    assert est.ensemble_size == 20
+    assert sizes == [1] * 19
+
+
 class RecordingExecutor(ThreadPoolExecutor):
     def __init__(self):
         super().__init__(max_workers=2)
@@ -173,8 +194,8 @@ class RecordingExecutor(ThreadPoolExecutor):
 
 def pooled_error(monkeypatch, make_traces):
     """The exception of spectrum(make_traces()) on a recording pool, the
-    serial scan's, whether every task it submitted had finished when it
-    surfaced, and how many tasks it submitted."""
+    serial scan's, and whether every task it submitted had finished when it
+    surfaced."""
     pool = RecordingExecutor()
     monkeypatch.setattr(spectral, "_WORKERS", 2)
     monkeypatch.setattr(spectral, "_executor", lambda workers: pool)
@@ -187,7 +208,8 @@ def pooled_error(monkeypatch, make_traces):
     with monkeypatch.context() as mp, pytest.raises(DomainError) as serial:
         mp.setattr(spectral, "_BLOCK_BYTES", 0)
         spectrum(make_traces())
-    return str(pooled.value), str(serial.value), all(settled), len(pool.futures)
+    assert len(pool.futures) > 2
+    return str(pooled.value), str(serial.value), all(settled)
 
 
 @pytest.mark.parametrize("k", [1, 5, TRACES - 1])
@@ -196,12 +218,9 @@ def test_mismatched_grid_raises_like_the_serial_scan(monkeypatch, k):
         for i in range(TRACES):
             yield generate_trace(THERMAL, DT, N + (i == k), SEED, i)
 
-    pooled, serial, settled, tasks = pooled_error(monkeypatch, traces)
+    pooled, serial, settled = pooled_error(monkeypatch, traces)
     assert pooled == serial == "ensemble traces must share one time grid"
     assert settled
-    # traces are pulled and checked here; those before trace k reach the
-    # pool in blocks of 3, the last one cut short by the mismatch
-    assert tasks == math.ceil((k - 1) / 3)
 
 
 def test_earliest_error_wins(monkeypatch):
@@ -214,10 +233,9 @@ def test_earliest_error_wins(monkeypatch):
 
     for traces in (lambda: Ensemble(make, range(TRACES)),
                    lambda: (make(i) for i in range(TRACES))):
-        pooled, serial, settled, tasks = pooled_error(monkeypatch, traces)
+        pooled, serial, settled = pooled_error(monkeypatch, traces)
         assert pooled == serial == "ensemble traces must share one time grid"
         assert settled
-        assert tasks >= 2
 
 
 def test_generation_error_raises_like_the_serial_scan(monkeypatch):
@@ -226,11 +244,9 @@ def test_generation_error_raises_like_the_serial_scan(monkeypatch):
             raise DomainError(f"trace {i} failed")
         return generate_trace(THERMAL, DT, N, SEED, i)
 
-    pooled, serial, settled, tasks = pooled_error(monkeypatch,
-                                                  lambda: Ensemble(make, range(TRACES)))
+    pooled, serial, settled = pooled_error(monkeypatch, lambda: Ensemble(make, range(TRACES)))
     assert pooled == serial == "trace 7 failed"
     assert settled
-    assert tasks > 2
 
 
 def test_generate_ensemble_is_an_iterator():
@@ -267,12 +283,26 @@ SWEEP_FWHMS = [100.0, 30.0, 10.0, 3.0, 1.0]
 def test_sweep_filters_pool_only_when_the_scan_cannot(monkeypatch):
     monkeypatch.undo()   # the default 512 KiB blocks
     monkeypatch.setattr(spectral, "_WORKERS", 2)
-    # (n, traces per block, whether the scan pools, filter window)
-    for n, per_block, pooled, filters in [(4000, 8, True, 1), (32768, 1, True, 1),
-                                          (262144, 1, True, 1), (262145, 1, False, 2),
-                                          (10**6, 1, False, 2)]:
-        traces, blocks, branches = spectral._chunking(n)
+    # (n, generated in blocks, traces per block, whether the scan pools,
+    # filter window)
+    for n, blocked, per_block, pooled, filters in [
+            (4000, True, 8, True, 1), (4000, False, 1, False, 1),
+            (4096, False, 1, True, 1), (32768, True, 1, True, 1),
+            (262144, True, 1, True, 1), (262145, True, 1, False, 2),
+            (10**6, True, 1, False, 2), (10**6, False, 1, False, 2)]:
+        traces, blocks, branches = spectral._chunking(n, blocked)
         assert (traces, blocks >= 2, branches) == (per_block, pooled, filters)
+
+
+def test_traces_one_per_block_under_64_kib_run_serially(monkeypatch):
+    """Pulled traces of 2000 samples make 32 KB tasks: not worth the pool."""
+    def no_pool(workers):
+        raise AssertionError("the pool was used")
+
+    monkeypatch.undo()   # the default 512 KiB blocks
+    monkeypatch.setattr(spectral, "_executor", no_pool)
+    traces = list(generate_ensemble(THERMAL, DT, N, SEED, TRACES))
+    assert spectrum(iter(traces)).ensemble_size == TRACES
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
