@@ -20,11 +20,14 @@ configuration reproduces the file byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError
@@ -33,9 +36,7 @@ from .fieldgen import FAMILIES, BeamModelSpec, Ensemble, generate_ensemble
 from .photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
 from .spectral import (
     _check_significance,
-    _write_csv,
     periodogram_distribution_test,
-    report_to_json,
     spectrum,
     stationarity_test,
     windowed_means_and_carrier_powers,
@@ -104,24 +105,42 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         args.parser.error(f"missing required option(s): {flags}")
 
 
-def _metadata(args: argparse.Namespace) -> dict:
-    meta = {"tool_version": __version__}
-    meta.update(_resolved_config(args))
-    return meta
-
-
-def _emit(args: argparse.Namespace, payload_json: dict, csv_writer) -> None:
-    """Route a result to --out (or stdout) in the requested format;
-    `csv_writer` takes a path or an open text stream."""
-    if args.format == "json":
-        body = {"tool_version": __version__, "config": _resolved_config(args)}
-        body.update(payload_json)
-        if args.out:
-            report_to_json(args.out, body)
-        else:
-            print(json.dumps(body, indent=2, sort_keys=True))
+def _write_json(out, body: dict) -> None:
+    """`body` as sorted, indented JSON to the path `out`, or to stdout."""
+    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    if out:
+        Path(out).write_text(text)
     else:
-        csv_writer(args.out or sys.stdout)
+        sys.stdout.write(text)
+
+
+def _cell(value) -> str:
+    """The one CSV cell rule: a float (Python or numpy) as repr(float(x)),
+    which reads back exactly, and anything else as str(x)."""
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def _write_csv(out, metadata: dict, columns, rows) -> None:
+    """The one CSV layout, to the path `out` or to stdout: sorted
+    `# key=value` metadata lines, a header row, then one line per row."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for key in sorted(metadata):
+            fh.write(f"# {key}={metadata[key]}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _emit(args: argparse.Namespace, payload: dict, columns, rows, **metadata) -> None:
+    """Write a result to --out (or stdout) in the requested format: the JSON
+    `payload`, or a CSV table of `columns` and raw `rows` with `metadata`
+    among its metadata lines; either way under the tool version and the
+    resolved config."""
+    config = _resolved_config(args)
+    if args.format == "json":
+        _write_json(args.out, {"tool_version": __version__, "config": config, **payload})
+    else:
+        _write_csv(args.out, {"tool_version": __version__, **config, **metadata}, columns, rows)
 
 
 def _model_from_args(args: argparse.Namespace) -> BeamModelSpec:
@@ -201,9 +220,7 @@ def cmd_blackbody(args: argparse.Namespace) -> int:
     ]
     payload = {"report": {name: value for name, value, _ in rows},
                "formulas": {name: formula for name, _, formula in rows}}
-    _emit(args, payload, lambda out: _write_csv(
-        out, _metadata(args), ["quantity", "value", "formula"],
-        ([name, repr(value), formula] for name, value, formula in rows)))
+    _emit(args, payload, ["quantity", "value", "formula"], rows)
     return EXIT_OK
 
 
@@ -234,7 +251,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     # the manifest comes last and whole: a run cut short leaves none
     partial = out_dir / "run.json.partial"
-    report_to_json(partial, manifest)
+    _write_json(partial, manifest)
     os.replace(partial, out_dir / "run.json")
     tag = " (degenerate: nu = 0, zero field)" if model.nu == 0.0 else ""
     print(f"wrote {args.traces} traces to {out_dir}{tag}")
@@ -244,12 +261,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     est = spectrum(_ensemble_from_args(args))
-    payload = {"spectrum": est.to_json_dict()}
-    _emit(args, payload, lambda out: est.to_csv(out, _metadata(args)))
+    payload = {"spectrum": {"grid": est.grid.tolist(), "values": est.values.tolist(),
+                            "std_errors": est.std_errors.tolist(),
+                            "ensemble_size": est.ensemble_size}}
+    _emit(args, payload, ["detuning", "value", "std_error"],
+          zip(est.grid, est.values, est.std_errors), ensemble_size=est.ensemble_size)
     return EXIT_OK
 
 
 def cmd_g2(args: argparse.Namespace) -> int:
+    if args.filter_fwhm is None and args.filter_center != 0.0:
+        raise ConfigurationError("--filter-center needs --filter-fwhm: there is no filter to center")
     traces = _ensemble_from_args(args)
     burn_in = args.burn_in
     if args.filter_fwhm is not None:
@@ -265,7 +287,8 @@ def cmd_g2(args: argparse.Namespace) -> int:
     payload = {"g2": {"tau": est.tau.tolist(), "values": est.values.tolist(),
                       "std_errors": est.std_errors.tolist(),
                       "ensemble_size": est.ensemble_size}}
-    _emit(args, payload, lambda out: est.to_csv(out, _metadata(args)))
+    _emit(args, payload, ["tau", "g2", "std_error"],
+          zip(est.tau, est.values, est.std_errors), ensemble_size=est.ensemble_size)
     return EXIT_OK
 
 
@@ -282,10 +305,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                 center_detuning=args.filter_center)
     payload = {"sweep": [{"fwhm": r.fwhm, "value": r.g2_zero, "std_error": r.std_error,
                           "ensemble_size": r.ensemble_size} for r in rows]}
-    _emit(args, payload, lambda out: _write_csv(
-        out, _metadata(args), ["fwhm", "value", "std_error", "ensemble_size"],
-        ([repr(r.fwhm), repr(r.g2_zero), repr(r.std_error), str(r.ensemble_size)]
-         for r in rows)))
+    _emit(args, payload, ["fwhm", "value", "std_error", "ensemble_size"],
+          [(r.fwhm, r.g2_zero, r.std_error, r.ensemble_size) for r in rows])
     return EXIT_OK
 
 
@@ -312,10 +333,7 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
     payload = {"results": results}
     columns = ["family", "stationarity_p", "stationarity_passed",
                "periodogram_p", "periodogram_passed", "verdict"]
-    _emit(args, payload, lambda out: _write_csv(
-        out, _metadata(args), columns,
-        ([repr(r[c]) if c.endswith("_p") else str(r[c]) for c in columns]
-         for r in results)))
+    _emit(args, payload, columns, [[r[c] for c in columns] for r in results])
     for r in results:
         print(f"{r['family']:<16} {r['verdict']}")
     return EXIT_OK

@@ -24,7 +24,7 @@ from .fieldgen import (
     _CHANNEL_COUNTS,
     _mode_grid,
 )
-from .spectral import _chunking, _float_cells, _ordered_map, _scan, _write_csv
+from .spectral import _chunking, _ordered_map, _scan
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -75,12 +75,6 @@ class G2Estimate:
     std_errors: np.ndarray
     ensemble_size: int
 
-    def to_csv(self, out, metadata: dict | None = None) -> None:
-        """CSV table to `out`, a path or an open text stream."""
-        _write_csv(out, {**(metadata or {}), "ensemble_size": self.ensemble_size},
-                   ["tau", "g2", "std_error"],
-                   _float_cells(zip(self.tau, self.values, self.std_errors)))
-
 
 def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
     if not (math.isfinite(burn_in) and burn_in >= 0):
@@ -93,9 +87,12 @@ def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
 
 def _ratio_estimate(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Pooled ratio mean(x) / mean(y)^2 over traces and its delta-method
-    standard error from the per-trace scatter of x and y (zero for one trace)."""
+    standard error from the per-trace scatter of x and y (zero for one trace).
+    The mean flux y must not be zero: g2 of a dark beam is undefined."""
     count = x.size
     xbar, ybar = x.mean(), y.mean()
+    if ybar == 0:
+        raise DomainError("zero mean flux (nu = 0?): g2 is undefined")
     if count < 2:
         return xbar / ybar**2, 0.0
     var_x = np.var(x, ddof=1) / count
@@ -234,6 +231,8 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
     of the trace for analysis.  Traces too large for the scan to pool spread
     their filters over the pool instead (`spectral._chunking`).
     """
+    if len(fwhm_list) == 0:
+        raise DomainError("need at least one filter fwhm")
     filters = [FilterSpec(center_detuning=center_detuning, fwhm=f) for f in fwhm_list]
     burns = [max(f.suggested_burn_in(), 10.0 / model.gamma) for f in filters]
     for f, burn in zip(filters, burns):

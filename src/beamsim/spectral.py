@@ -13,7 +13,6 @@ sum_l |u~(w_l)|^2 dw/(2 pi) = (1/T) sum_j |alpha_j|^2 dt exactly.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import threading
@@ -22,7 +21,6 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -51,20 +49,6 @@ class SpectrumEstimate:
         if np.any(self.values < 0) or np.any(self.std_errors < 0):
             raise DomainError("values and std_errors must be non-negative")
 
-    def to_csv(self, out, metadata: dict | None = None) -> None:
-        """CSV table to `out`, a path or an open text stream."""
-        _write_csv(out, {**(metadata or {}), "ensemble_size": self.ensemble_size},
-                   ["detuning", "value", "std_error"],
-                   _float_cells(zip(self.grid, self.values, self.std_errors)))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "ensemble_size": self.ensemble_size,
-        }
-
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
@@ -74,14 +58,6 @@ class CorrelationEstimate:
     values: np.ndarray   # complex
     std_errors: np.ndarray
     ensemble_size: int
-
-    def to_csv(self, out, metadata: dict | None = None) -> None:
-        """CSV table to `out`, a path or an open text stream."""
-        rows = [(k, kp, v.real, v.imag, s) for (k, kp), v, s in
-                zip(self.pairs, self.values, self.std_errors)]
-        _write_csv(out, {**(metadata or {}), "ensemble_size": self.ensemble_size},
-                   ["k_detuning", "kprime_detuning", "re", "im", "std_error"],
-                   _float_cells(rows))
 
 
 @dataclass(frozen=True)
@@ -122,26 +98,6 @@ class StationarityReport:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-def _write_csv(out, metadata: dict, columns: Sequence[str],
-               rows: Iterable[Sequence[str]]) -> None:
-    """The one CSV layout: sorted `# key=value` metadata lines, a header row,
-    then one line per row of cells the caller has already formatted.  `out`
-    is a path or an open text stream."""
-    if isinstance(out, (str, os.PathLike)):
-        with open(out, "w", newline="") as fh:
-            _write_csv(fh, metadata, columns, rows)
-        return
-    for key in sorted(metadata):
-        out.write(f"# {key}={metadata[key]}\n")
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(row) + "\n")
-
-
-def _float_cells(rows) -> Iterable[list[str]]:
-    return ([repr(float(x)) for x in row] for row in rows)
-
 
 def _fft_bin(dt: float, n: int, detuning: float) -> int:
     """Unshifted DFT bin index for an on-grid detuning."""
@@ -588,7 +544,3 @@ def estimate_fwhm(est: SpectrumEstimate, smooth_bins: int = 1) -> float:
     if left is None or right is None:
         raise DomainError("half-max crossings not found; spectrum not single-peaked")
     return float(right - left)
-
-
-def report_to_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

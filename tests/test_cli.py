@@ -1,13 +1,15 @@
 """Unit tests for the command-line interface."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from beamsim import cli
 from beamsim.cli import main
 from beamsim.fieldgen import BeamModelSpec, generate_ensemble
-from beamsim.spectral import spectrum
+from beamsim.spectral import spectrum, stationarity_test
 from beamsim.traceio import read_trace
 
 
@@ -112,6 +114,17 @@ class TestDomainAndGridErrors:
         assert "significance must lie in (0, 1)" in captured.err
         assert "Traceback" not in captured.err
         assert "rejected" not in captured.out
+
+    @pytest.mark.parametrize("command", ["g2", "sweep"])
+    def test_zero_flux_g2(self, capsys, command):
+        args = (("--family", "laser", "--dt", "0.01", "--duration", "20") if command == "g2"
+                else ("--dt", "0.001", "--duration", "20", "--fwhms", "100,10"))
+        assert run(command, "--nu", "0", "--gamma", "1", "--traces", "2", "--seed", "3",
+                   *args) == 3
+        captured = capsys.readouterr()
+        assert "zero mean flux" in captured.err
+        assert "Traceback" not in captured.err
+        assert "nan" not in captured.out
 
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "g2", "sweep", "qslb-demo"])
     def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
@@ -273,6 +286,14 @@ class TestG2Command:
         body = json.loads(path.read_text())
         assert 1.0 < body["g2"]["values"][0] < 4.0
 
+    def test_filter_center_needs_a_filter(self, capsys):
+        assert run("g2", "--family", "thermal", "--nu", "100", "--gamma", "1",
+                   "--dt", "0.01", "--duration", "20", "--traces", "2",
+                   "--seed", "3", "--filter-center", "5") == 3
+        err = capsys.readouterr().err
+        assert "--filter-center needs --filter-fwhm" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("taus", ["0,-0.01", "0,nan"])
     def test_negative_or_nan_tau_exit_code(self, capsys, taus):
         assert run("g2", "--family", "thermal", "--nu", "100", "--gamma", "1",
@@ -338,3 +359,67 @@ class TestSweepCommand:
         assert float(fwhm) == 100.0
         assert float(value) > 0.9
         assert int(size) == 3
+
+
+class TestOutputFormats:
+    """The --out CSV table and the --format json payload of one run agree."""
+
+    MODEL = ("--nu", "100", "--gamma", "1", "--seed", "5")
+    QSLB_COLUMNS = ("family", "stationarity_p", "stationarity_passed",
+                    "periodogram_p", "periodogram_passed", "verdict")
+    # command: (arguments, the JSON values of the CSV rows, where ensemble_size is in the CSV)
+    CASES = {
+        "spectrum": (("spectrum", "--family", "thermal", *MODEL, "--dt", "0.01",
+                      "--duration", "0.64", "--traces", "3"),
+                     lambda body: zip(*(body["spectrum"][k]
+                                        for k in ("grid", "values", "std_errors"))),
+                     "metadata"),
+        "g2": (("g2", "--family", "thermal", *MODEL, "--dt", "0.01", "--duration", "1",
+                "--traces", "4", "--taus", "0,0.05,0.1"),
+               lambda body: zip(*(body["g2"][k] for k in ("tau", "values", "std_errors"))),
+               "metadata"),
+        "sweep": (("sweep", *MODEL, "--dt", "0.001", "--duration", "20", "--traces", "2",
+                   "--fwhms", "100,10"),
+                  lambda body: ([r[k] for k in ("fwhm", "value", "std_error", "ensemble_size")]
+                                for r in body["sweep"]),
+                  "column"),
+        "qslb-demo": (("qslb-demo", *MODEL, "--dt", "0.01", "--duration", "10.24",
+                       "--traces", "1000", "--windows", "4"),
+                      lambda body: ([r[k] for k in TestOutputFormats.QSLB_COLUMNS]
+                                    for r in body["results"]),
+                      None),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_csv_numbers_equal_json_values(self, command, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "stationarity_test",
+                            functools.partial(stationarity_test, n_permutations=199))
+        argv, json_rows, ensemble_size_in = self.CASES[command]
+        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+        assert run(*argv, "--out", str(csv_path)) == 0
+        assert run(*argv, "--format", "json", "--out", str(json_path)) == 0
+        body = json.loads(json_path.read_text())
+        lines = csv_path.read_text().splitlines()
+        meta = [line[2:].split("=", 1) for line in lines if line.startswith("# ")]
+        header, *rows = [line.split(",") for line in lines[len(meta):]]
+
+        keys = [key for key, _ in meta]
+        assert keys == sorted(keys)
+        meta = dict(meta)
+        assert meta.pop("tool_version") == body["tool_version"]
+        assert meta.pop("format") == "csv"
+        if ensemble_size_in == "metadata":
+            assert int(meta.pop("ensemble_size")) == body[command]["ensemble_size"]
+        assert meta == {key: str(value) for key, value in body["config"].items()
+                        if key != "format"}
+        assert ("ensemble_size" in header) == (ensemble_size_in == "column")
+
+        expected = [list(row) for row in json_rows(body)]
+        assert len(rows) == len(expected) > 0
+        for cells, values in zip(rows, expected):
+            assert len(cells) == len(values) == len(header)
+            for cell, value in zip(cells, values):
+                if isinstance(value, (bool, str)):
+                    assert cell == str(value)
+                else:   # the number reads back exactly
+                    assert type(value)(cell) == value, (cell, value)

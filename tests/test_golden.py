@@ -1,4 +1,4 @@
-"""Golden outputs of every subcommand and of the estimate CSV writers.
+"""Golden outputs of every subcommand.
 
 Each case runs at a tiny size and its text is compared with a fixture under
 ``tests/golden/``: everything outside numbers must match exactly and every
@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
-import math
 import re
 import sys
 from pathlib import Path
@@ -28,13 +27,11 @@ from pathlib import Path
 import pytest
 
 from beamsim import cli
-from beamsim.fieldgen import FAMILIES, BeamModelSpec, generate_ensemble, generate_trace
-from beamsim.photonics import g2
-from beamsim.spectral import cross_mode_correlation, stationarity_test
+from beamsim.fieldgen import FAMILIES, BeamModelSpec, generate_trace
+from beamsim.spectral import stationarity_test
 
 GOLDEN = Path(__file__).with_name("golden")
 N_PERMUTATIONS = 199
-THERMAL = BeamModelSpec(family="thermal", nu=100.0, gamma=1.0)
 
 _MODEL = ("--nu", "100", "--gamma", "1", "--seed", "5")
 COMMANDS = {
@@ -82,11 +79,6 @@ def render(case: str, tmp: Path, monkeypatch) -> str:
     if case == "simulate":
         text = _run(SIMULATE, tmp) + (tmp / "store" / "run.json").read_text()
         return _mask(text, tmp)
-    if case == "correlation-to-csv":
-        est = cross_mode_correlation(generate_ensemble(THERMAL, 0.01, 64, 5, 3),
-                                     [(0.0, 0.0), (0.0, 2.0 * math.pi / 0.64)])
-        est.to_csv(tmp / "out", {"seed": 5})
-        return (tmp / "out").read_text()
     if case == "traces":
         lines = ["family,sample,re,im"]
         for family in FAMILIES:
@@ -97,9 +89,6 @@ def render(case: str, tmp: Path, monkeypatch) -> str:
             lines += [f"{family},{j},{float(samples[j].real)!r},{float(samples[j].imag)!r}"
                       for j in (0, 1, 2, 3, 3996, 3997, 3998, 3999)]
         return "\n".join(lines) + "\n"
-    if case == "g2-to-csv":
-        g2(generate_ensemble(THERMAL, 0.01, 200, 5, 3), [0.0, 0.02]).to_csv(tmp / "out")
-        return (tmp / "out").read_text()
     command, fmt = case.rsplit(".", 1)
     if command == "spectrum-in":
         _run(SIMULATE, tmp)
@@ -109,7 +98,7 @@ def render(case: str, tmp: Path, monkeypatch) -> str:
     return _mask(text, tmp)
 
 
-CASES = ["simulate", "correlation-to-csv", "g2-to-csv", "traces"] + [
+CASES = ["simulate", "traces"] + [
     f"{command}.{fmt}" for command in COMMANDS for fmt in FORMATS]
 
 

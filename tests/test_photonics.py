@@ -119,6 +119,12 @@ class TestG2:
         with pytest.raises(DomainError, match="burn_in must be finite and >= 0"):
             g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0], burn_in=burn_in)
 
+    @pytest.mark.parametrize("family", ["thermal", "laser"])
+    def test_rejects_zero_mean_flux(self, family):
+        dark = BeamModelSpec(family=family, nu=0.0, gamma=1.0)
+        with pytest.raises(DomainError, match="zero mean flux"):
+            g2(generate_ensemble(dark, 0.01, 2000, 1, 3), [0.0, 0.5])
+
 
 class TestPhotonCounts:
     def test_laser_fano_is_one(self):
@@ -258,6 +264,22 @@ class TestSweep:
             filtered_laser_sweep(LASER, [1000.0], 0.01, 25000, 1, 2)  # unresolvable
         with pytest.raises(ConfigurationError):
             filtered_laser_sweep(LASER, [0.01], 0.01, 25000, 1, 2)    # burn-in too long
+
+    def test_rejects_zero_mean_flux(self):
+        dark = BeamModelSpec(family="jittered_laser", nu=0.0, gamma=1.0,
+                             jitter_band=100.0, jitter_corr_time=1.5)
+        with pytest.raises(DomainError, match="zero mean flux"):
+            filtered_laser_sweep(dark, [100.0, 10.0], 1e-3, 20000, 1, 2)
+
+    def test_rejects_no_filters_before_generating(self, monkeypatch):
+        from beamsim import photonics
+
+        def generate(*args):
+            raise AssertionError("an ensemble was generated")
+
+        monkeypatch.setattr(photonics, "generate_ensemble", generate)
+        with pytest.raises(DomainError, match="at least one filter"):
+            filtered_laser_sweep(LASER, [], 0.01, 25000, 1, 2)
 
 
 class TestNarrowFilterUniversality:

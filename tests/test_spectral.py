@@ -122,18 +122,6 @@ class TestSpectrum:
         est = spectrum(generate_ensemble(model, 0.01, 2000, 1, 3))
         assert np.all(est.values == 0.0)
 
-    def test_csv_round_trip(self, tmp_path):
-        est = spectrum(generate_ensemble(THERMAL, 0.01, 2000, 1, 4))
-        path = tmp_path / "spec.csv"
-        est.to_csv(path, metadata={"seed": 1})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# ensemble_size=4"
-        assert lines[1] == "# seed=1"
-        assert lines[2] == "detuning,value,std_error"
-        first = [float(x) for x in lines[3].split(",")]
-        assert first[0] == est.grid[0]
-        assert first[1] == est.values[0]
-
 
 class TestPeriodogramDistribution:
     def test_thermal_exponential_law(self):
