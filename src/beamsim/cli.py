@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -295,11 +296,13 @@ def cmd_g2(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "nu", "gamma", "seed", "traces")
     dt, n = _grid_from_args(args)
-    jitter_band = args.jitter_band if args.jitter_band is not None else 100.0 * args.gamma
-    jitter_corr_time = (args.jitter_corr_time if args.jitter_corr_time is not None
-                        else 1.5 / args.gamma)
-    model = BeamModelSpec(family="jittered_laser", nu=args.nu, gamma=args.gamma,
-                          jitter_band=jitter_band, jitter_corr_time=jitter_corr_time)
+    # the plain spec checks gamma before the jitter defaults divide by it
+    model = BeamModelSpec(family="jittered_laser", nu=args.nu, gamma=args.gamma)
+    model = dataclasses.replace(
+        model,
+        jitter_band=args.jitter_band if args.jitter_band is not None else 100.0 * model.gamma,
+        jitter_corr_time=(args.jitter_corr_time if args.jitter_corr_time is not None
+                          else 1.5 / model.gamma))
     fwhms = [float(x) * args.gamma for x in args.fwhms.split(",")]
     rows = filtered_laser_sweep(model, fwhms, dt, n, _seed_from_args(args), args.traces,
                                 center_detuning=args.filter_center)
@@ -315,11 +318,13 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
     dt, n = _grid_from_args(args)
     seed = _seed_from_args(args)
     _check_significance(args.significance)   # before any ensemble is generated
+    families = ("thermal", "laser", "kspace_product")
+    # every family's grid is checked before any ensemble is generated
+    ensembles = [generate_ensemble(BeamModelSpec(family=f, nu=args.nu, gamma=args.gamma),
+                                   dt, n, seed, args.traces) for f in families]
     results = []
-    for family in ("thermal", "laser", "kspace_product"):
-        model = BeamModelSpec(family=family, nu=args.nu, gamma=args.gamma)
-        W, carrier = windowed_means_and_carrier_powers(
-            generate_ensemble(model, dt, n, seed, args.traces), args.windows)
+    for family, traces in zip(families, ensembles):
+        W, carrier = windowed_means_and_carrier_powers(traces, args.windows)
         stat = stationarity_test(W, significance=args.significance)
         law = periodogram_distribution_test(carrier, significance=args.significance)
         results.append({

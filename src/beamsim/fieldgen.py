@@ -30,6 +30,7 @@ from .errors import ConfigurationError, DomainError
 TWO_PI = 2.0 * math.pi
 
 FAMILIES = ("thermal", "laser", "jittered_laser", "kspace_product", "periodic_thermal")
+_MODE_FAMILIES = ("kspace_product", "periodic_thermal")
 
 # RNG channel ids; the jitter detuning uses its own channel so that a
 # jittered trace with zero band reproduces the plain laser trace bit for bit.
@@ -137,16 +138,17 @@ def _check_finite(samples: np.ndarray) -> None:
         raise DomainError("trace contains non-finite samples")
 
 
-def _check_dt(model: BeamModelSpec, dt: float, n: int) -> None:
+def _check_grid(model: BeamModelSpec, dt: float, n: int) -> None:
+    """The one grid rule: dt <= 0.01/gamma for every family, and for the two
+    frequency-mode families, whose traces are periodic in their duration,
+    duration > 10/gamma.  The exact discretizations of the time-domain
+    families are valid at any duration."""
     bound = 0.01 / model.gamma
     if dt > bound * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt={dt:g} too coarse for gamma={model.gamma:g}; require dt <= 0.01/gamma = {bound:g}"
         )
-
-
-def _check_duration(model: BeamModelSpec, dt: float, n: int) -> None:
-    if n * dt <= 10.0 / model.gamma:
+    if model.family in _MODE_FAMILIES and n * dt <= 10.0 / model.gamma:
         raise ConfigurationError(
             f"duration {n * dt:g} too short; require duration > 10/gamma = {10.0 / model.gamma:g}"
         )
@@ -264,38 +266,32 @@ def _periodic_thermal(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     return _from_modes(model, dt, n, _complex_normals(master_seed, indices, n))
 
 
-# family -> (grid check, samples function)
 _GENERATORS = {
-    "thermal": (_check_dt, _thermal),
-    "laser": (_check_dt, _laser),
-    "jittered_laser": (_check_dt, _laser),
-    "kspace_product": (_check_duration, _kspace_product),
-    "periodic_thermal": (_check_duration, _periodic_thermal),
+    "thermal": _thermal,
+    "laser": _laser,
+    "jittered_laser": _laser,
+    "kspace_product": _kspace_product,
+    "periodic_thermal": _periodic_thermal,
 }
-
-
-def _checked_samples(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                     indices: range) -> np.ndarray:
-    check, samples = _GENERATORS[model.family]
-    check(model, dt, n)
-    return samples(model, dt, n, master_seed, indices)
 
 
 def generate_block(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                    indices: range) -> np.ndarray:
     """The samples of traces `indices` (consecutive) on the grid (dt, n), as
-    the rows of a (len(indices), n) block.  Row r equals
-    generate_trace(model, dt, n, master_seed, indices[r]).samples bit for bit."""
-    block = _checked_samples(model, dt, n, master_seed, indices)
+    the rows of a (len(indices), n) block, after the grid check and before
+    the finite check.  Row r equals generate_trace(model, dt, n, master_seed,
+    indices[r]).samples bit for bit."""
+    _check_grid(model, dt, n)
+    block = _GENERATORS[model.family](model, dt, n, master_seed, indices)
     _check_finite(block)
     return block
 
 
 def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                    trace_index: int = 0) -> FieldTrace:
-    """One trace of the model's family on the grid (dt, n).  Its draws come
-    only from trace_rng(master_seed, trace_index, channel)."""
-    samples = _checked_samples(model, dt, n, master_seed, range(trace_index, trace_index + 1))
+    """One trace of the model's family on the grid (dt, n): a block of one.
+    Its draws come only from trace_rng(master_seed, trace_index, channel)."""
+    samples = generate_block(model, dt, n, master_seed, range(trace_index, trace_index + 1))
     return FieldTrace(samples=samples[0], dt=dt, model=model, master_seed=master_seed,
                       trace_index=trace_index)
 
@@ -338,7 +334,7 @@ def generate_ensemble(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     trace is made."""
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
-    _GENERATORS[model.family][0](model, dt, n)   # the grid check
+    _check_grid(model, dt, n)
     args = (model, dt, n, master_seed)
     return Ensemble(functools.partial(generate_trace, *args),
                     range(start_index, start_index + n_traces),

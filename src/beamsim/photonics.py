@@ -24,7 +24,7 @@ from .fieldgen import (
     _CHANNEL_COUNTS,
     _mode_grid,
 )
-from .spectral import _chunking, _ordered_map, _scan
+from .spectral import _ordered_map, _scan
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -228,8 +228,8 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
 
     Each trace is transformed once; every filter reuses the transform.  The
     per-filter burn-in is max(10/fwhm, 10/Gamma) and must leave at least half
-    of the trace for analysis.  Traces too large for the scan to pool spread
-    their filters over the pool instead (`spectral._chunking`).
+    of the trace for analysis.  The filters of a row go to the pool, one per
+    worker, unless the row already runs on a pool worker (a pooled scan).
     """
     if len(fwhm_list) == 0:
         raise DomainError("need at least one filter fwhm")
@@ -245,7 +245,6 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
     responses = [f.amplitude_response(omega) for f in filters]
     del omega
     skips = [int(round(b / dt)) for b in burns]
-    window = _chunking(n)[2]
 
     def moments(branch):
         # time-mean intensity and time-mean squared intensity past the
@@ -264,7 +263,7 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
         modes = np.fft.ifft(block, axis=1)
         # each product is allocated here, one branch at a time, as it is pulled
         branches = ((modes * resp, skip) for resp, skip in zip(responses, skips))
-        return np.column_stack([m for pair in _ordered_map(moments, branches, window)
+        return np.column_stack([m for pair in _ordered_map(moments, branches)
                                 for m in pair])
 
     _, count, rows = _scan(generate_ensemble(model, dt, n, master_seed, n_traces),

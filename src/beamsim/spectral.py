@@ -118,9 +118,10 @@ def _amplitude_transform(samples: np.ndarray, dt: float, bins=slice(None)) -> np
     return u
 
 
-def _power(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Single-shot periodogram |u~|^2 of each trace in numpy fft ordering."""
-    u = _amplitude_transform(samples, dt)
+def _power(samples: np.ndarray, dt: float, bins=slice(None)) -> np.ndarray:
+    """Single-shot periodogram |u~|^2 of each trace at DFT bins `bins` (all
+    by default) in numpy fft ordering."""
+    u = _amplitude_transform(samples, dt, bins)
     return u.real**2 + u.imag**2
 
 
@@ -163,9 +164,9 @@ _WORKERS = len(os.sched_getaffinity(0))
 _BLOCK_BYTES = 512 << 10
 
 
-def _chunking(n: int, blocked: bool = True) -> tuple[int, int, int]:
+def _chunking(n: int, blocked: bool) -> tuple[int, int]:
     """The one chunk rule for traces of n samples: (traces per block, blocks
-    in flight, branches of one row in flight).
+    in flight).
 
     A block holds as many traces as fit in _BLOCK_BYTES, at least one, or
     just one unless `blocked` (traces pulled or read one by one); its size
@@ -175,16 +176,13 @@ def _chunking(n: int, blocked: bool = True) -> tuple[int, int, int]:
     4096 samples) is not worth a pool task, and the scan is serial: handing
     the GIL between threads then costs more than the native work they
     overlap.  Fewer than two blocks in flight (traces over 8 blocks' bytes,
-    such as the 10^6-sample sweep) means a serial scan too; the independent
-    branches of each row (the sweep's filters) then go to the pool instead,
-    one per worker.
+    such as the 10^6-sample sweep) means a serial scan too.
     """
     per_block = max(1, _BLOCK_BYTES // (16 * n)) if blocked else 1
     block = 16 * n * per_block
     if 8 * block < _BLOCK_BYTES:
-        return per_block, 1, 1
-    blocks = min(2 * _WORKERS, 16 * _BLOCK_BYTES // block)
-    return per_block, blocks, (_WORKERS if blocks < 2 else 1)
+        return per_block, 1
+    return per_block, min(2 * _WORKERS, 16 * _BLOCK_BYTES // block)
 
 
 # Set on the pool's own threads: a row running there must not wait on tasks
@@ -202,15 +200,17 @@ def _executor(workers: int) -> ThreadPoolExecutor:
                               initializer=_mark_worker)
 
 
-def _ordered_map(fn: Callable, items: Iterable, window: int) -> Iterator:
+def _ordered_map(fn: Callable, items: Iterable, window: int | None = None) -> Iterator:
     """fn(item) for each item, in order, with up to `window` calls in flight
-    on the shared pool (serially for a window below 2, or when called from
-    a pool worker).
+    on the shared pool, one per worker by default (serially for a window
+    below 2, or when called from a pool worker).
 
     An exception, raised by fn or by pulling the next item, surfaces where
     the serial loop would raise it.  Once the generator finishes or is
     closed, no call it submitted is still running.
     """
+    if window is None:
+        window = _WORKERS
     if window < 2 or getattr(_on_worker, "active", False):
         yield from map(fn, items)
         return
@@ -268,7 +268,7 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
     first_rows = row(first.samples[np.newaxis])
     del first   # a trace can be large: do not hold it through the scan
     blocked = isinstance(traces, Ensemble) and traces.make_block is not None
-    per_block, window, _ = _chunking(n, blocked)
+    per_block, window = _chunking(n, blocked)
 
     def checked_row(trace: FieldTrace) -> np.ndarray:
         _check_same_grid(trace, dt, n)
@@ -315,11 +315,7 @@ def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
 def _bin_power(detuning: float) -> RowSetup:
     def setup(dt: float, n: int):
         b = _fft_bin(dt, n, detuning)
-
-        def row(block):
-            u = _amplitude_transform(block, dt, slice(b, b + 1))
-            return u.real**2 + u.imag**2
-        return row
+        return functools.partial(_power, dt=dt, bins=slice(b, b + 1))
     return setup
 
 

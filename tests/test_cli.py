@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from beamsim import cli
+from beamsim import cli, fieldgen
 from beamsim.cli import main
 from beamsim.fieldgen import BeamModelSpec, generate_ensemble
 from beamsim.spectral import spectrum, stationarity_test
@@ -125,6 +125,36 @@ class TestDomainAndGridErrors:
         assert "zero mean flux" in captured.err
         assert "Traceback" not in captured.err
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan"])
+    def test_sweep_checks_gamma_before_its_jitter_defaults(self, capsys, gamma):
+        """The default --jitter-corr-time is 1.5/gamma: gamma = 0 used to
+        end in a ZeroDivisionError."""
+        assert run("sweep", "--nu", "100", "--gamma", gamma, "--seed", "1", "--traces", "2",
+                   "--dt", "0.001", "--duration", "20") == 3
+        err = capsys.readouterr().err
+        assert "gamma must be finite and > 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family", ["kspace_product", "periodic_thermal"])
+    def test_mode_families_obey_the_dt_bound(self, capsys, family):
+        assert run("spectrum", "--family", family, *self.MODEL, "--dt", "0.02",
+                   "--duration", "400") == 3
+        err = capsys.readouterr().err
+        assert "dt=0.02 too coarse for gamma=1; require dt <= 0.01/gamma" in err
+        assert "Traceback" not in err
+
+    def test_qslb_demo_checks_every_grid_before_generating(self, capsys, monkeypatch):
+        """kspace_product's duration bound fails before the thermal and laser
+        ensembles are generated."""
+        def no_generation(*args):
+            raise AssertionError("a trace was generated")
+
+        monkeypatch.setattr(fieldgen, "generate_block", no_generation)
+        assert run("qslb-demo", *self.MODEL, "--dt", "0.01", "--duration", "5") == 3
+        captured = capsys.readouterr()
+        assert "duration 5 too short; require duration > 10/gamma" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "g2", "sweep", "qslb-demo"])
     def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):

@@ -140,6 +140,17 @@ class TestBlocks:
         with pytest.raises(ConfigurationError):
             generate_ensemble(THERMAL, 0.1, 2000, 9, 3)
 
+    @pytest.mark.parametrize("model", [KSPACE, PERIODIC], ids=lambda m: m.family)
+    def test_mode_families_reject_a_coarse_dt_as_thermal_does(self, model):
+        """At dt = 0.02/gamma a mode family would cut its Lorentzian off at
+        Nyquist; the one grid rule rejects it with thermal's message."""
+        with pytest.raises(ConfigurationError) as thermal:
+            generate_ensemble(THERMAL, 0.02, 20000, 9, 3)
+        for make in (generate_ensemble, generate_block):
+            with pytest.raises(ConfigurationError) as mode:
+                make(model, 0.02, 20000, 9, 3 if make is generate_ensemble else range(3))
+            assert str(mode.value) == str(thermal.value)
+
 
 class TestThermal:
     def test_mean_flux(self):

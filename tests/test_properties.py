@@ -1,0 +1,126 @@
+"""Property tests: the chunk rule, .ftrc round trips, Parseval, g2 of a
+constant-modulus beam and the grid rule, over generated inputs.
+
+Examples are derandomized and capped, so every run checks the same few
+dozen cases per property and tier-1 grows by seconds at most.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from beamsim import ConfigurationError, spectral
+from beamsim.fieldgen import (
+    _MODE_FAMILIES,
+    FAMILIES,
+    BeamModelSpec,
+    FieldTrace,
+    generate_ensemble,
+    generate_trace,
+)
+from beamsim.photonics import g2
+from beamsim.spectral import _amplitude_transform, _power
+from beamsim.traceio import trace_from_bytes, trace_to_bytes
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+KIB = 1 << 10
+
+
+@PROPERTY
+@given(n=st.integers(2, 2 * 10**6), blocked=st.booleans(), workers=st.integers(1, 8))
+def test_chunk_rule(n, blocked, workers):
+    with mock.patch.object(spectral, "_WORKERS", workers):
+        per_block, in_flight = spectral._chunking(n, blocked)
+    with mock.patch.object(spectral, "_WORKERS", 1):
+        assert spectral._chunking(n, blocked)[0] == per_block   # not the worker count
+    block = 16 * n * per_block
+    assert per_block >= 1
+    assert block <= 512 * KIB or per_block == 1
+    if not blocked:
+        assert per_block == 1
+    if in_flight >= 2:   # a pooled scan
+        assert in_flight <= 2 * workers
+        assert in_flight * block <= 8 * 1024 * KIB
+
+
+@st.composite
+def traces(draw):
+    """Any trace the generators accept: family, parameters, grid, seed and index."""
+    family = draw(st.sampled_from(FAMILIES))
+    gamma = draw(st.floats(1e-3, 1e3))
+    dt = draw(st.floats(0.5, 1.0)) * 0.01 / gamma
+    jitter = {}
+    if family == "jittered_laser":
+        band = draw(st.one_of(st.just(0.0), st.floats(1.01, 10.0)))   # dt * band <= 0.1
+        if band > 0:
+            jitter = {"jitter_band": band * gamma,
+                      "jitter_corr_time": draw(st.floats(1.01, 100.0)) / gamma}
+    model = BeamModelSpec(family=family, nu=draw(st.floats(0.0, 1e6)), gamma=gamma, **jitter)
+    least = math.ceil(10.0 / (gamma * dt)) + 1 if family in _MODE_FAMILIES else 2
+    n = draw(st.integers(least, least + 500))
+    seed, index = draw(st.integers(0, 2**128)), draw(st.integers(0, 2**32))
+    return generate_trace(model, dt, n, seed, index)
+
+
+@PROPERTY
+@given(trace=traces())
+def test_ftrc_round_trip_is_bit_for_bit(trace):
+    data = trace_to_bytes(trace)
+    back = trace_from_bytes(data)
+    assert back.samples.tobytes() == trace.samples.tobytes()
+    assert (back.model, back.dt, back.master_seed, back.trace_index) == (
+        trace.model, trace.dt, trace.master_seed, trace.trace_index)
+    assert trace_to_bytes(back) == data
+
+
+# parts too small to square without underflow are zero
+parts = st.floats(-1e6, 1e6).map(lambda x: x if abs(x) > 1e-100 else 0.0)
+
+
+@PROPERTY
+@given(block=arrays(np.complex128, st.tuples(st.integers(1, 3), st.integers(1, 128)),
+                    elements=st.builds(complex, parts, parts)),
+       dt=st.floats(1e-6, 1e3))
+def test_parseval(block, dt):
+    """sum_l |u~(w_l)|^2 = dt sum_j |alpha_j|^2 for each trace of a block."""
+    u = _amplitude_transform(block, dt)
+    for u_row, row in zip(u, block):
+        assert np.sum(np.abs(u_row) ** 2) == pytest.approx(dt * np.sum(np.abs(row) ** 2),
+                                                           rel=1e-10)
+    # a single bin of the one periodogram row is that bin of the whole row
+    b = block.shape[1] // 2
+    np.testing.assert_array_equal(_power(block, dt, slice(b, b + 1)), _power(block, dt)[:, b:b + 1])
+
+
+LASER = BeamModelSpec(family="laser", nu=1.0, gamma=1.0)
+
+
+@PROPERTY
+@given(data=st.data(), modulus=st.floats(1e-3, 1e3),
+       shape=st.tuples(st.integers(1, 4), st.integers(8, 200)))
+def test_g2_of_constant_modulus_is_one(data, modulus, shape):
+    phases = data.draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+    lags = data.draw(st.lists(st.integers(0, shape[1] - 2), min_size=1, max_size=4))
+    dt = 0.01
+    ensemble = [FieldTrace(samples=modulus * np.exp(1j * p), dt=dt, model=LASER,
+                           master_seed=0, trace_index=r) for r, p in enumerate(phases)]
+    est = g2(ensemble, [lag * dt for lag in lags])
+    np.testing.assert_allclose(est.values, 1.0, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(gamma=st.floats(1e-3, 1e3), coarser=st.floats(1.000001, 100.0), n=st.integers(2, 10**6))
+def test_every_family_rejects_a_coarse_dt_with_one_message(gamma, coarser, n):
+    dt = coarser * 0.01 / gamma
+    messages = set()
+    for family in FAMILIES:
+        with pytest.raises(ConfigurationError, match="too coarse") as exc:
+            generate_ensemble(BeamModelSpec(family=family, nu=1.0, gamma=gamma), dt, n, 0, 1)
+        messages.add(str(exc.value))
+    assert len(messages) == 1

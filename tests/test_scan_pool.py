@@ -283,15 +283,16 @@ SWEEP_FWHMS = [100.0, 30.0, 10.0, 3.0, 1.0]
 def test_sweep_filters_pool_only_when_the_scan_cannot(monkeypatch):
     monkeypatch.undo()   # the default 512 KiB blocks
     monkeypatch.setattr(spectral, "_WORKERS", 2)
-    # (n, generated in blocks, traces per block, whether the scan pools,
-    # filter window)
-    for n, blocked, per_block, pooled, filters in [
-            (4000, True, 8, True, 1), (4000, False, 1, False, 1),
-            (4096, False, 1, True, 1), (32768, True, 1, True, 1),
-            (262144, True, 1, True, 1), (262145, True, 1, False, 2),
-            (10**6, True, 1, False, 2), (10**6, False, 1, False, 2)]:
-        traces, blocks, branches = spectral._chunking(n, blocked)
-        assert (traces, blocks >= 2, branches) == (per_block, pooled, filters)
+    # (n, generated in blocks, traces per block, whether the scan pools);
+    # a row of a scan that does not pool runs in the calling thread, and
+    # sends its filters to the pool
+    for n, blocked, per_block, pooled in [
+            (4000, True, 8, True), (4000, False, 1, False),
+            (4096, False, 1, True), (32768, True, 1, True),
+            (262144, True, 1, True), (262145, True, 1, False),
+            (10**6, True, 1, False), (10**6, False, 1, False)]:
+        traces, blocks = spectral._chunking(n, blocked)
+        assert (traces, blocks >= 2) == (per_block, pooled)
 
 
 def test_traces_one_per_block_under_64_kib_run_serially(monkeypatch):
