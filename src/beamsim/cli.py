@@ -11,10 +11,10 @@ sweep       g2(0) of a filtered jittered laser versus filter width
 qslb-demo   stationarity + periodogram-law verdict table contrasting the
             frequency-mode product construction with genuine stationary beams
 
-Exit codes: 0 success, 2 usage error, 3 numerical/configuration error,
-4 I/O error.  Every output file embeds the tool version, the fully resolved
-configuration, and the master seed; re-running a command with the embedded
-configuration reproduces the file byte for byte.
+Exit codes: 0 success, 2 usage error, 3 numerical/configuration error or a
+grid too large for memory, 4 I/O error.  Every output file embeds the tool
+version, the fully resolved configuration, and the master seed; re-running a
+command with the embedded configuration reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from . import radiometry
-from .fieldgen import FAMILIES, BeamModelSpec, Ensemble, generate_ensemble
-from .photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
+from .fieldgen import FAMILIES, BeamModelSpec, generate_ensemble
+from .photonics import FilterSpec, filtered_laser_sweep, g2
 from .spectral import (
+    _check_law_traces,
     _check_significance,
     periodogram_distribution_test,
     spectrum,
@@ -68,12 +69,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill namespace entries from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _config_as_defaults(args: argparse.Namespace) -> None:
+    """Make the config file's values, converted and checked as their flags'
+    would be, the subcommand's defaults, which its flags then override."""
     cfg = _parse_config_file(args.config)
-    explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     # config keys are the subcommand's long flags without the leading "--"
     actions = {opt[2:]: a for a in args.parser._actions
                for opt in a.option_strings if opt.startswith("--")}
@@ -81,8 +80,6 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         action = actions.get(key)
         if action is None or key == "config" or action.dest not in vars(args):
             raise ConfigurationError(f"config key {key!r} unknown for this command")
-        if "--" + key in explicit:
-            continue
         conv = action.type or str
         try:
             value = conv(raw)
@@ -91,7 +88,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         if action.choices is not None and value not in action.choices:
             raise ConfigurationError(f"config key {key!r}: invalid choice {raw!r} "
                                      f"(choose from {', '.join(map(str, action.choices))})")
-        setattr(args, action.dest, value)
+        args.parser.set_defaults(**{action.dest: value})
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -178,13 +175,13 @@ def _seed_from_args(args: argparse.Namespace) -> int:
 
 
 def _ensemble_from_args(args: argparse.Namespace):
-    """Traces from --in files (sorted) or generated inline; the inline
-    ensemble's size, grid and seed are checked before any trace is made."""
+    """Traces from --in files (sorted), read as they are pulled, or generated
+    inline; the inline ensemble's size, grid and seed are checked first."""
     if getattr(args, "in_dir", None):
         paths = sorted(Path(args.in_dir).glob("*.ftrc"))
         if not paths:
             raise ConfigurationError(f"no .ftrc traces under {args.in_dir}")
-        return Ensemble(lambda i: read_trace(paths[i]), range(len(paths)))
+        return (read_trace(path) for path in paths)
     model = _model_from_args(args)
     dt, n = _grid_from_args(args)
     seed = _seed_from_args(args)
@@ -274,17 +271,13 @@ def cmd_g2(args: argparse.Namespace) -> int:
     if args.filter_fwhm is None and args.filter_center != 0.0:
         raise ConfigurationError("--filter-center needs --filter-fwhm: there is no filter to center")
     traces = _ensemble_from_args(args)
+    filt = (None if args.filter_fwhm is None
+            else FilterSpec(center_detuning=args.filter_center, fwhm=args.filter_fwhm))
     burn_in = args.burn_in
-    if args.filter_fwhm is not None:
-        filt = FilterSpec(center_detuning=args.filter_center, fwhm=args.filter_fwhm)
-        if burn_in is None:
-            burn_in = filt.suggested_burn_in()
-        make = traces.make   # generate and filter each trace on the scan's pool
-        traces = Ensemble(lambda i: apply_filter(make(i), filt), traces.take_rest())
     if burn_in is None:
-        burn_in = 0.0
+        burn_in = 0.0 if filt is None else filt.suggested_burn_in()
     tau_grid = [float(x) for x in args.taus.split(",")]
-    est = g2(traces, tau_grid, burn_in=burn_in)
+    est = g2(traces, tau_grid, burn_in=burn_in, filt=filt)
     payload = {"g2": {"tau": est.tau.tolist(), "values": est.values.tolist(),
                       "std_errors": est.std_errors.tolist(),
                       "ensemble_size": est.ensemble_size}}
@@ -322,6 +315,7 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
     # every family's grid is checked before any ensemble is generated
     ensembles = [generate_ensemble(BeamModelSpec(family=f, nu=args.nu, gamma=args.gamma),
                                    dt, n, seed, args.traces) for f in families]
+    _check_law_traces(args.traces)   # so is the periodogram-law test's trace count
     results = []
     for family, traces in zip(families, ensembles):
         W, carrier = windowed_means_and_carrier_powers(traces, args.windows)
@@ -433,16 +427,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, args = build_parser(), None
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        if args.config:   # argparse alone decides which flags were given
+            _config_as_defaults(args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors / --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     except ValueError as exc:  # DomainError and ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        grid = " ".join(f"--{k} {getattr(args, k)}" for k in ("dt", "duration", "traces")
+                        if getattr(args, k, None) is not None)
+        print(f"error: out of memory for the grid {grid or 'of the --in traces'}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -301,13 +301,13 @@ class Ensemble:
 
     Each trace depends only on its index, so a consumer may instead take the
     indices not yet pulled (`take_rest`) and make them itself, on any thread
-    and in any order: one at a time with `make`, or, if `make_block` is given,
-    a range of consecutive indices at once as the rows of one array (see
+    and in any order, a range of consecutive indices at once with
+    `make_block`: the samples of those traces as the rows of one array (see
     generate_block), on the grid of the traces `make` returns.
     """
 
     def __init__(self, make: Callable[[int], FieldTrace], indices: range,
-                 make_block: Optional[Callable[[range], np.ndarray]] = None):
+                 make_block: Callable[[range], np.ndarray]):
         self.make = make
         self.make_block = make_block
         self._rest = indices

@@ -39,18 +39,17 @@ class FilterSpec:
         if not math.isfinite(self.center_detuning):
             raise DomainError("center_detuning must be finite")
 
-    def amplitude_response(self, omega) -> np.ndarray:
-        """t(w) = (d/2) / ((d/2) - i (w - w_f)); |t|^2 is Lorentzian of FWHM d."""
-        half = self.fwhm / 2.0
-        return half / (half - 1j * (np.asarray(omega, dtype=float) - self.center_detuning))
-
-    def check_resolvable(self, dt: float) -> None:
-        """Reject a filter too wide for a grid of spacing dt (fwhm >= pi/dt)."""
+    def response(self, dt: float, n: int) -> np.ndarray:
+        """t(w) = (d/2) / ((d/2) - i (w - w_f)) on the DFT grid of (dt, n), in
+        numpy fft ordering; |t|^2 is Lorentzian of FWHM d.  A filter too wide
+        for the grid (fwhm >= pi/dt) is rejected."""
         if self.fwhm >= math.pi / dt:
             raise ConfigurationError(
                 f"filter fwhm {self.fwhm:g} not resolvable on a grid with dt={dt:g} "
                 f"(need fwhm < pi/dt = {math.pi / dt:g})"
             )
+        half = self.fwhm / 2.0
+        return half / (half - 1j * (_mode_grid(dt, n) - self.center_detuning))
 
     def suggested_burn_in(self) -> float:
         """Analysis margin covering the filter transient, 10/fwhm seconds."""
@@ -59,9 +58,7 @@ class FilterSpec:
 
 def apply_filter(trace: FieldTrace, filt: FilterSpec) -> FieldTrace:
     """Multiply the trace's frequency components by the filter's amplitude response."""
-    filt.check_resolvable(trace.dt)
-    omega = _mode_grid(trace.dt, trace.n_samples)
-    modes = np.fft.ifft(trace.samples) * filt.amplitude_response(omega)
+    modes = np.fft.ifft(trace.samples) * filt.response(trace.dt, trace.n_samples)
     return FieldTrace(samples=np.fft.fft(modes), dt=trace.dt, model=trace.model,
                       master_seed=trace.master_seed, trace_index=trace.trace_index)
 
@@ -105,8 +102,9 @@ def _ratio_estimate(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
-       burn_in: float = 0.0) -> G2Estimate:
-    """g2(tau) = <I(t) I(t+tau)> / <I>^2 averaged over time and ensemble.
+       burn_in: float = 0.0, filt: FilterSpec | None = None) -> G2Estimate:
+    """g2(tau) = <I(t) I(t+tau)> / <I>^2 averaged over time and ensemble, of
+    the traces or, with `filt`, of apply_filter(trace, filt) bit for bit.
 
     The ratio is pooled (ensemble-mean numerator over squared ensemble-mean
     flux); standard errors come from the per-trace scatter via the delta
@@ -117,6 +115,7 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
 
     def setup(dt: float, n: int):
         nonlocal lags
+        response = None if filt is None else filt.response(dt, n)
         if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
             raise DomainError("tau_grid values must be finite and >= 0")
         lags = np.rint(tau_grid / dt).astype(int)
@@ -127,6 +126,9 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
             raise DomainError("tau exceeds the analysable trace length")
 
         def row(block):
+            if response is not None:   # filter the block in the buffer of its modes
+                modes = np.fft.ifft(block, axis=1)
+                block = np.fft.fft(np.multiply(modes, response, out=modes), axis=1, out=modes)
             # time-mean intensity, then the time-mean of I(t) I(t+tau) per lag
             intensity = (block.real**2 + block.imag**2)[:, skip:]
             out = np.empty((len(block), 1 + len(lags)))
@@ -235,15 +237,13 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
         raise DomainError("need at least one filter fwhm")
     filters = [FilterSpec(center_detuning=center_detuning, fwhm=f) for f in fwhm_list]
     burns = [max(f.suggested_burn_in(), 10.0 / model.gamma) for f in filters]
+    responses = []
     for f, burn in zip(filters, burns):
-        f.check_resolvable(dt)
+        responses.append(f.response(dt, n))
         if burn > 0.5 * n * dt:
             raise ConfigurationError(
                 f"trace too short for fwhm={f.fwhm:g}: burn-in {burn:g} exceeds half the duration"
             )
-    omega = _mode_grid(dt, n)
-    responses = [f.amplitude_response(omega) for f in filters]
-    del omega
     skips = [int(round(b / dt)) for b in burns]
 
     def moments(branch):

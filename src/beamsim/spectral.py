@@ -169,20 +169,19 @@ def _chunking(n: int, blocked: bool) -> tuple[int, int]:
     in flight).
 
     A block holds as many traces as fit in _BLOCK_BYTES, at least one, or
-    just one unless `blocked` (traces pulled or read one by one); its size
+    just one unless `blocked` (traces pulled one by one); its size
     never depends on the worker count, and no output depends on it.  Two
     blocks per worker are in flight, within 16 blocks' bytes (8 MiB).  A
     block under an eighth of _BLOCK_BYTES (64 KiB: one trace of fewer than
     4096 samples) is not worth a pool task, and the scan is serial: handing
     the GIL between threads then costs more than the native work they
-    overlap.  Fewer than two blocks in flight (traces over 8 blocks' bytes,
-    such as the 10^6-sample sweep) means a serial scan too.
+    overlap.  Fewer than two blocks in 8 MiB (traces over 8 blocks' bytes,
+    such as the 10^6-sample sweep) mean a serial scan too: one in flight.
     """
     per_block = max(1, _BLOCK_BYTES // (16 * n)) if blocked else 1
     block = 16 * n * per_block
-    if 8 * block < _BLOCK_BYTES:
-        return per_block, 1
-    return per_block, min(2 * _WORKERS, 16 * _BLOCK_BYTES // block)
+    in_flight = min(2 * _WORKERS, 16 * _BLOCK_BYTES // block)
+    return per_block, in_flight if in_flight >= 2 and 8 * block >= _BLOCK_BYTES else 1
 
 
 # Set on the pool's own threads: a row running there must not wait on tasks
@@ -251,11 +250,10 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
     traces, matrix).
 
     Later traces go through `row` on the shared pool, sized and kept in
-    flight by `_chunking`.  An `Ensemble` with `make_block` is generated
-    there in blocks of consecutive traces, one task per block.  Other traces
-    stay one per block: an `Ensemble` without it is made or read in its
-    task, one trace each, and traces from other iterables are pulled in the
-    calling thread.  Rows are stacked or folded here, one by one in trace
+    flight by `_chunking`, in one of two ways.  An `Ensemble` is generated
+    there in blocks of consecutive traces, one task per block.  Traces from
+    any other iterable are pulled (made or read) in the calling thread and
+    go one per block.  Rows are stacked or folded here, one by one in trace
     order, so every output is bit-identical for any worker count or block
     size, and an error surfaces at the trace where a serial scan raises it.
     """
@@ -267,24 +265,17 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
     row = setup(dt, n)
     first_rows = row(first.samples[np.newaxis])
     del first   # a trace can be large: do not hold it through the scan
-    blocked = isinstance(traces, Ensemble) and traces.make_block is not None
-    per_block, window = _chunking(n, blocked)
-
-    def checked_row(trace: FieldTrace) -> np.ndarray:
-        _check_same_grid(trace, dt, n)
-        return row(trace.samples[np.newaxis])   # a one-trace block is a view
-
-    if blocked:
+    per_block, window = _chunking(n, isinstance(traces, Ensemble))
+    if isinstance(traces, Ensemble):
         rest, make_block = traces.take_rest(), traces.make_block
         items = (rest[i:i + per_block] for i in range(0, len(rest), per_block))
-
         def fn(indices: range) -> np.ndarray:
             return row(make_block(indices))
-    elif isinstance(traces, Ensemble):
-        make = traces.make
-        fn, items = (lambda index: checked_row(make(index))), traces.take_rest()
     else:
-        fn, items = checked_row, traces
+        def fn(trace: FieldTrace) -> np.ndarray:
+            _check_same_grid(trace, dt, n)
+            return row(trace.samples[np.newaxis])   # a one-trace block is a view
+        items = traces
     rows: list | np.ndarray = []
     count = 0
     with closing(_ordered_map(fn, items, window)) as later:
@@ -324,6 +315,12 @@ def periodogram_bin_values(traces: Iterable[FieldTrace], detuning: float) -> np.
     return _scan(traces, _bin_power(detuning))[2][:, 0]
 
 
+def _check_law_traces(count: int) -> None:
+    """The periodogram-law test takes one value per trace, of 1000 at least."""
+    if count < 1000:
+        raise DomainError(f"need >= 1000 traces, got {count}")
+
+
 def periodogram_distribution_test(values, significance: float = 1e-3) -> TestReport:
     """Kolmogorov-Smirnov test of single-shot periodogram values in one bin
     (see periodogram_bin_values) against an exponential law with mean equal
@@ -332,8 +329,7 @@ def periodogram_distribution_test(values, significance: float = 1e-3) -> TestRep
 
     _check_significance(significance)
     values = np.asarray(values, dtype=float)
-    if values.size < 1000:
-        raise DomainError(f"need >= 1000 traces, got {values.size}")
+    _check_law_traces(values.size)
     mean = float(values.mean())
     if mean <= 0:
         raise DomainError("degenerate (zero-power) bin")

@@ -156,6 +156,33 @@ class TestDomainAndGridErrors:
         assert "duration 5 too short; require duration > 10/gamma" in captured.err
         assert captured.out == ""
 
+    def test_qslb_demo_checks_the_trace_count_before_generating(self, capsys, monkeypatch):
+        def no_generation(*args):
+            raise AssertionError("a trace was generated")
+
+        monkeypatch.setattr(fieldgen, "generate_block", no_generation)
+        assert run("qslb-demo", "--nu", "100", "--gamma", "1", "--traces", "999",
+                   "--seed", "3", "--dt", "0.01", "--duration", "20") == 3
+        captured = capsys.readouterr()
+        assert "need >= 1000 traces, got 999" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "g2", "sweep", "qslb-demo"])
+    def test_grid_too_large_for_memory(self, capsys, monkeypatch, command):
+        """numpy raises MemoryError (its _ArrayMemoryError) for an array
+        larger than the machine can hold: exit 3, naming the grid."""
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(fieldgen, "generate_block", out_of_memory)
+        extra = {"sweep": ("--fwhms", "10"), "qslb-demo": ()}.get(command,
+                                                                  ("--family", "thermal"))
+        assert run(command, *extra, "--nu", "100", "--gamma", "1", "--traces", "1000",
+                   "--seed", "1", "--dt", "0.01", "--duration", "20") == 3
+        err = capsys.readouterr().err
+        assert "out of memory for the grid --dt 0.01 --duration 20.0 --traces 1000" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "g2", "sweep", "qslb-demo"])
     def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
         family = () if command in ("sweep", "qslb-demo") else ("--family", "thermal")
@@ -343,6 +370,26 @@ class TestConfigFile:
         text = path.read_text()
         assert "# traces=6" in text       # flag wins
         assert "# seed=9" in text         # config fills the rest
+
+    @pytest.mark.parametrize("flag", ["--trace 5", "--trace=5", "--tra 5"])
+    def test_abbreviated_flags_override(self, tmp_path, flag):
+        """argparse takes a unique prefix of a flag: it overrides the config
+        as the whole flag does."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=laser\nnu=100\ngamma=1\ndt=0.01\n"
+                       "duration=20\ntraces=3\nseed=9\n")
+        path = tmp_path / "spec.csv"
+        assert run("spectrum", "--config", str(cfg), *flag.split(), "--out", str(path)) == 0
+        text = path.read_text()
+        assert "# traces=5" in text
+        assert "# ensemble_size=5" in text
+
+    def test_bad_value_fails_even_under_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=laser\nnu=100\ngamma=1\ndt=0.01\n"
+                       "duration=20\ntraces=three\nseed=9\n")
+        assert run("spectrum", "--config", str(cfg), "--traces", "5") == 3
+        assert "config key 'traces'" in capsys.readouterr().err
 
     def test_in_key_is_the_flag_name(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -35,7 +35,7 @@ class TestFilter:
     def test_power_transmission_is_lorentzian(self):
         filt = FilterSpec(center_detuning=0.7, fwhm=2.5)
         omega = TWO_PI * np.fft.fftfreq(4096, d=0.01)
-        power = np.abs(filt.amplitude_response(omega)) ** 2
+        power = np.abs(filt.response(0.01, 4096)) ** 2
         assert np.max(np.abs(power - lorentzian(omega, 2.5, center=0.7))) < 1e-12
 
     def test_all_pass_limit(self):
@@ -49,9 +49,8 @@ class TestFilter:
         trace = next(generate_ensemble(THERMAL, 0.01, 5000, 5, 1))
         filt = FilterSpec(0.0, 2.0)
         twice = apply_filter(apply_filter(trace, filt), filt)
-        omega = TWO_PI * np.fft.fftfreq(trace.n_samples, d=trace.dt)
         squared = np.fft.fft(np.fft.ifft(trace.samples)
-                             * filt.amplitude_response(omega) ** 2)
+                             * filt.response(trace.dt, trace.n_samples) ** 2)
         assert np.max(np.abs(twice.samples - squared)) < 1e-12 * math.sqrt(25.0)
 
     def test_filtered_thermal_peak_density(self):
@@ -74,13 +73,16 @@ class TestFilter:
             apply_filter(trace, FilterSpec(0.0, 1000.0))  # pi/dt ~ 314
 
     def test_one_resolvability_check(self):
-        """apply_filter and the sweep reject a too-wide filter with one message."""
+        """apply_filter, filtered g2 and the sweep reject a too-wide filter
+        with one message."""
         trace = next(generate_ensemble(LASER, 0.01, 25000, 1, 1))
         with pytest.raises(ConfigurationError) as filtered:
             apply_filter(trace, FilterSpec(0.0, 1000.0))
+        with pytest.raises(ConfigurationError) as correlated:
+            g2(generate_ensemble(LASER, 0.01, 25000, 1, 2), [0.0], filt=FilterSpec(0.0, 1000.0))
         with pytest.raises(ConfigurationError) as swept:
             filtered_laser_sweep(LASER, [1000.0], 0.01, 25000, 1, 2)
-        assert str(filtered.value) == str(swept.value) == (
+        assert str(filtered.value) == str(correlated.value) == str(swept.value) == (
             "filter fwhm 1000 not resolvable on a grid with dt=0.01 "
             "(need fwhm < pi/dt = 314.159)")
 

@@ -41,6 +41,7 @@ def test_chunk_rule(n, blocked, workers):
         assert spectral._chunking(n, blocked)[0] == per_block   # not the worker count
     block = 16 * n * per_block
     assert per_block >= 1
+    assert in_flight >= 1   # a serial scan has one block in flight
     assert block <= 512 * KIB or per_block == 1
     if not blocked:
         assert per_block == 1

@@ -2,9 +2,11 @@
 block size, errors where the serial scan raises them, and no task left
 behind."""
 
+import functools
 import math
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,13 +14,21 @@ import pytest
 
 from beamsim import spectral
 from beamsim.errors import DomainError
-from beamsim.fieldgen import FAMILIES, BeamModelSpec, Ensemble, generate_ensemble, generate_trace
+from beamsim.fieldgen import (
+    FAMILIES,
+    BeamModelSpec,
+    Ensemble,
+    generate_block,
+    generate_ensemble,
+    generate_trace,
+)
 from beamsim.photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2, intensity_samples
 from beamsim.spectral import (
     cross_mode_correlation,
     spectrum,
     windowed_means_and_carrier_powers,
 )
+from beamsim.traceio import read_trace, write_trace
 
 THERMAL = BeamModelSpec(family="thermal", nu=100.0, gamma=1.0)
 JITTERED = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
@@ -160,20 +170,23 @@ def test_small_traces_pool_in_blocks_sized_by_bytes(monkeypatch, workers):
     assert sizes == [16] * 6 + [3]
 
 
-@pytest.mark.parametrize("source", ["pulled", "made one by one"])
-def test_traces_not_generated_in_blocks_stay_one_per_task(monkeypatch, source):
-    """Traces pulled from an iterable, or made by an Ensemble without
-    make_block (read from files, filtered), reach the pool one per task
-    where generated ones come three to a block."""
+@pytest.mark.parametrize("source", ["pulled", "read from files"])
+def test_traces_not_generated_in_blocks_stay_one_per_task(monkeypatch, tmp_path, source):
+    """Traces pulled from an iterable, made or read from files (as `--in`
+    reads them) in the calling thread, reach the pool one per task where
+    generated ones come three to a block."""
     pool = RecordingExecutor()
     monkeypatch.setattr(spectral, "_WORKERS", 2)
     monkeypatch.setattr(spectral, "_executor", lambda w: pool)
-    traces = generate_ensemble(THERMAL, DT, N, SEED, 20)
+    traces = list(generate_ensemble(THERMAL, DT, N, SEED, 20))
     try:
         if source == "pulled":
-            est = spectrum(iter(list(traces)))
+            est = spectrum(iter(traces))
         else:
-            est = spectrum(Ensemble(traces.make, traces.take_rest()))
+            paths = [tmp_path / f"trace_{t.trace_index:05d}.ftrc" for t in traces]
+            for trace, path in zip(traces, paths):
+                write_trace(trace, path)
+            est = spectrum(read_trace(path) for path in paths)
         sizes = [f.result().shape[0] for f in pool.futures]
     finally:
         pool.shutdown()
@@ -223,28 +236,42 @@ def test_mismatched_grid_raises_like_the_serial_scan(monkeypatch, k):
     assert settled
 
 
+def failing_ensemble(failing, slow=()):
+    """TRACES thermal traces whose blocks are generated in the pool's tasks
+    and fail there: a block holding a trace i in `failing` raises "trace i
+    failed" (its first such i), after 50 ms if i is in `slow`."""
+    def make_block(indices):
+        for i in indices:
+            if i in failing:
+                time.sleep(0.05 if i in slow else 0.0)
+                raise DomainError(f"trace {i} failed")
+        return generate_block(THERMAL, DT, N, SEED, indices)
+
+    return Ensemble(functools.partial(generate_trace, THERMAL, DT, N, SEED), range(TRACES),
+                    make_block)
+
+
 def test_earliest_error_wins(monkeypatch):
-    """A generation error at trace 6 comes after a grid mismatch at trace 5,
-    whether the scan generates the traces or pulls them."""
+    """A failed block of traces 4-6 wins over a failed block of traces 7-9
+    that fails first; and a generation error at trace 6 comes after a grid
+    mismatch at trace 5 when the scan pulls the traces."""
+    pooled, serial, settled = pooled_error(monkeypatch,
+                                           lambda: failing_ensemble({5, 8}, slow={5}))
+    assert pooled == serial == "trace 5 failed"
+    assert settled
+
     def make(i):
         if i == 6:
             raise DomainError("generation failed")
         return generate_trace(THERMAL, DT, N + (i == 5), SEED, i)
 
-    for traces in (lambda: Ensemble(make, range(TRACES)),
-                   lambda: (make(i) for i in range(TRACES))):
-        pooled, serial, settled = pooled_error(monkeypatch, traces)
-        assert pooled == serial == "ensemble traces must share one time grid"
-        assert settled
+    pooled, serial, settled = pooled_error(monkeypatch, lambda: (make(i) for i in range(TRACES)))
+    assert pooled == serial == "ensemble traces must share one time grid"
+    assert settled
 
 
 def test_generation_error_raises_like_the_serial_scan(monkeypatch):
-    def make(i):
-        if i == 7:
-            raise DomainError(f"trace {i} failed")
-        return generate_trace(THERMAL, DT, N, SEED, i)
-
-    pooled, serial, settled = pooled_error(monkeypatch, lambda: Ensemble(make, range(TRACES)))
+    pooled, serial, settled = pooled_error(monkeypatch, lambda: failing_ensemble({7}))
     assert pooled == serial == "trace 7 failed"
     assert settled
 
@@ -341,35 +368,48 @@ def test_ordered_map_on_a_pool_worker_runs_serially():
         pool.shutdown(wait=False)
 
 
-def test_filtered_g2_from_an_ensemble(monkeypatch, fast_switching):
-    monkeypatch.setattr(spectral, "_WORKERS", 2)
-    filt = FilterSpec(0.0, 10.0)
+@pytest.mark.parametrize("family", ["thermal", "jittered_laser"])
+def test_filtered_g2_in_blocks_matches_apply_filter(monkeypatch, fast_switching, family):
+    """g2 filters blocks of generated traces as apply_filter filters one
+    trace, bit for bit, at any worker count and block size."""
+    model = THERMAL if family == "thermal" else JITTERED
+    filt = FilterSpec(0.7, 10.0)
     taus, burn_in = [0.0, 0.1, 0.5], filt.suggested_burn_in()
-    traces = generate_ensemble(THERMAL, DT, N, SEED, TRACES)
-    make = traces.make
-    pooled = g2(Ensemble(lambda i: apply_filter(make(i), filt), traces.take_rest()),
-                taus, burn_in=burn_in)
-    pulled = g2((apply_filter(t, filt) for t in generate_ensemble(THERMAL, DT, N, SEED, TRACES)),
-                taus, burn_in=burn_in)
-    assert_bitwise_equal([pooled.values, pooled.std_errors], [pulled.values, pulled.std_errors])
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "_BLOCK_BYTES", 0)   # a serial scan
+        one_by_one = g2((apply_filter(t, filt)
+                         for t in generate_ensemble(model, DT, N, SEED, TRACES)),
+                        taus, burn_in=burn_in)
+    for workers in (1, 2, 4):
+        for block_traces in (1, 3, 5, 13):
+            monkeypatch.setattr(spectral, "_WORKERS", workers)
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes(block_traces))
+            blocked = g2(generate_ensemble(model, DT, N, SEED, TRACES), taus,
+                         burn_in=burn_in, filt=filt)
+            assert_bitwise_equal([blocked.values, blocked.std_errors],
+                                 [one_by_one.values, one_by_one.std_errors])
 
 
 def test_cli_g2_filters_on_the_pool(monkeypatch, capsys):
+    """`g2 --filter-fwhm` filters generated traces in blocks on the pool's
+    workers: one inverse FFT per block."""
     from beamsim import cli
 
     monkeypatch.setattr(spectral, "_WORKERS", 2)
-    threads = []
+    calls = []
+    ifft = np.fft.ifft
 
-    def recording_filter(trace, filt):
-        threads.append(threading.current_thread().name)
-        return apply_filter(trace, filt)
+    def recording_ifft(a, *args, **kwargs):
+        calls.append((threading.current_thread().name, a.shape[0]))
+        return ifft(a, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "apply_filter", recording_filter)
+    monkeypatch.setattr(np.fft, "ifft", recording_ifft)   # thermal traces are made without it
     assert cli.main(["g2", "--family", "thermal", "--nu", "100", "--gamma", "1",
                      "--dt", str(DT), "--duration", str(N * DT), "--traces", str(TRACES),
                      "--seed", str(SEED), "--filter-fwhm", "10"]) == 0
     assert "ensemble_size=12" in capsys.readouterr().out
-    # the first trace fixes the grid in the calling thread; the rest are
-    # generated and filtered on the workers
-    assert len(threads) == TRACES
-    assert all(name.startswith("beamsim-scan") for name in threads[1:])
+    # the first trace fixes the grid in the calling thread; the other 11
+    # are generated and filtered on the workers, three to a block
+    assert calls[0] == (threading.current_thread().name, 1)
+    assert sorted(rows for _, rows in calls[1:]) == [2, 3, 3, 3]
+    assert all(name.startswith("beamsim-scan") for name, _ in calls[1:])
