@@ -174,14 +174,29 @@ def _seed_from_args(args: argparse.Namespace) -> int:
     return args.seed
 
 
+def _stored_traces(in_dir: str):
+    """The traces `<in_dir>/run.json` lists under "files", in its order, read
+    as they are pulled; no other file in the directory is read."""
+    manifest = Path(in_dir) / "run.json"
+    try:
+        files = json.loads(manifest.read_text())["files"]
+    except FileNotFoundError:
+        raise ConfigurationError(f"no {manifest}: --in reads the traces it lists") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"{manifest} malformed: {exc!r}") from exc
+    if not (isinstance(files, list) and files and all(
+            isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
+            for name in files) and len(set(files)) == len(files)):
+        raise ConfigurationError(f'{manifest}: "files" must be a non-empty list of distinct '
+                                 'file names')
+    return (read_trace(manifest.parent / name) for name in files)
+
+
 def _ensemble_from_args(args: argparse.Namespace):
-    """Traces from --in files (sorted), read as they are pulled, or generated
-    inline; the inline ensemble's size, grid and seed are checked first."""
+    """Traces from --in (see _stored_traces), or generated inline; the inline
+    ensemble's size, grid and seed are checked first."""
     if getattr(args, "in_dir", None):
-        paths = sorted(Path(args.in_dir).glob("*.ftrc"))
-        if not paths:
-            raise ConfigurationError(f"no .ftrc traces under {args.in_dir}")
-        return (read_trace(path) for path in paths)
+        return _stored_traces(args.in_dir)
     model = _model_from_args(args)
     dt, n = _grid_from_args(args)
     seed = _seed_from_args(args)

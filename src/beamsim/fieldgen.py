@@ -16,11 +16,10 @@ periodic_thermal independent complex-Gaussian frequency modes (exactly periodic)
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.signal import lfilter
@@ -297,19 +296,19 @@ def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
 
 
 class Ensemble:
-    """Iterator over `make(i)` for each trace index i in `indices`, in order.
+    """Iterator over the traces `indices` of the model on the grid (dt, n),
+    in order, as generate_trace makes them.
 
     Each trace depends only on its index, so a consumer may instead take the
     indices not yet pulled (`take_rest`) and make them itself, on any thread
     and in any order, a range of consecutive indices at once with
     `make_block`: the samples of those traces as the rows of one array (see
-    generate_block), on the grid of the traces `make` returns.
+    generate_block).
     """
 
-    def __init__(self, make: Callable[[int], FieldTrace], indices: range,
-                 make_block: Callable[[range], np.ndarray]):
-        self.make = make
-        self.make_block = make_block
+    def __init__(self, model: BeamModelSpec, dt: float, n: int, master_seed: int,
+                 indices: range):
+        self._args = (model, dt, n, master_seed)
         self._rest = indices
 
     def __iter__(self) -> "Ensemble":
@@ -319,7 +318,10 @@ class Ensemble:
         if not self._rest:
             raise StopIteration
         index, self._rest = self._rest[0], self._rest[1:]
-        return self.make(index)
+        return generate_trace(*self._args, index)
+
+    def make_block(self, indices: range) -> np.ndarray:
+        return generate_block(*self._args, indices)
 
     def take_rest(self) -> range:
         """The indices not yet pulled; the iterator is exhausted afterwards."""
@@ -335,7 +337,4 @@ def generate_ensemble(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
     _check_grid(model, dt, n)
-    args = (model, dt, n, master_seed)
-    return Ensemble(functools.partial(generate_trace, *args),
-                    range(start_index, start_index + n_traces),
-                    functools.partial(generate_block, *args))
+    return Ensemble(model, dt, n, master_seed, range(start_index, start_index + n_traces))

@@ -24,37 +24,30 @@ def _check_mean(mean: float) -> None:
         raise DomainError(f"mean photon number must be finite and >= 0, got {mean!r}")
 
 
+def _number_pmf(mean: float, n, log_mass) -> np.ndarray | float:
+    """The mass at photon numbers n of a law with the given mean: the vacuum
+    at mean 0, else exp(log_mass(n)) for n as an integer array."""
+    _check_mean(mean)
+    n_arr = np.asarray(n)
+    if not np.issubdtype(n_arr.dtype, np.integer) or np.any(n_arr < 0):
+        raise DomainError("n must be a non-negative integer (or array thereof)")
+    out = np.where(n_arr == 0, 1.0, 0.0) if mean == 0 else np.exp(log_mass(n_arr))
+    return out if out.ndim else float(out)
+
+
 def thermal_pmf(nbar: float, n) -> np.ndarray | float:
     """Geometric photon-number distribution [1/(1+nbar)] [nbar/(nbar+1)]^n.
 
     Evaluated in log space so nbar up to ~1e12 stays finite.
     """
-    _check_mean(nbar)
-    n_arr = np.asarray(n)
-    if not np.issubdtype(n_arr.dtype, np.integer) or np.any(n_arr < 0):
-        raise DomainError("n must be a non-negative integer (or array thereof)")
-    if nbar == 0:
-        out = np.where(n_arr == 0, 1.0, 0.0)
-        return out if out.ndim else float(out)
     # log p = -log(1+nbar) + n [log nbar - log(1+nbar)]
-    log_ratio = math.log(nbar) - math.log1p(nbar)
-    logp = -math.log1p(nbar) + n_arr * log_ratio
-    out = np.exp(logp)
-    return out if out.ndim else float(out)
+    return _number_pmf(nbar, n, lambda k: -math.log1p(nbar)
+                       + k * (math.log(nbar) - math.log1p(nbar)))
 
 
 def poisson_pmf(mu: float, n) -> np.ndarray | float:
     """Poisson mass e^-mu mu^n / n!, computed in log space for large mu."""
-    _check_mean(mu)
-    n_arr = np.asarray(n)
-    if not np.issubdtype(n_arr.dtype, np.integer) or np.any(n_arr < 0):
-        raise DomainError("n must be a non-negative integer (or array thereof)")
-    if mu == 0:
-        out = np.where(n_arr == 0, 1.0, 0.0)
-        return out if out.ndim else float(out)
-    logp = -mu + n_arr * math.log(mu) - gammaln(n_arr + 1.0)
-    out = np.exp(logp)
-    return out if out.ndim else float(out)
+    return _number_pmf(mu, n, lambda k: -mu + k * math.log(mu) - gammaln(k + 1.0))
 
 
 @dataclass(frozen=True)

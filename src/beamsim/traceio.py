@@ -4,12 +4,13 @@ Binary layout (little-endian):
     magic  b"FTRC"
     uint32 format version (1)
     uint32 header length in bytes
-    header UTF-8 JSON (model params, dt, n_samples, master_seed, trace_index)
+    header UTF-8 JSON (the model's fields, dt, n_samples, master_seed, trace_index)
     payload n_samples * 2 float64, interleaved re/im
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -26,29 +27,15 @@ VERSION = 1
 PathLike = Union[str, Path]
 
 
-def _header_dict(trace: FieldTrace) -> dict:
-    m = trace.model
-    return {
-        "model": {
-            "family": m.family,
-            "nu": m.nu,
-            "gamma": m.gamma,
-            "jitter_band": m.jitter_band,
-            "jitter_corr_time": m.jitter_corr_time,
-        },
-        "dt": trace.dt,
-        "n_samples": trace.n_samples,
-        "master_seed": trace.master_seed,
-        "trace_index": trace.trace_index,
-    }
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def trace_to_bytes(trace: FieldTrace) -> bytes:
-    header = json.dumps(_header_dict(trace), sort_keys=True).encode("utf-8")
+    fields = {"model": dataclasses.asdict(trace.model), "dt": trace.dt,
+              "n_samples": trace.n_samples, "master_seed": trace.master_seed,
+              "trace_index": trace.trace_index}
+    header = json.dumps(fields, sort_keys=True).encode("utf-8")
     payload = trace.samples.astype("<c16").tobytes()   # re, im interleaved
     return MAGIC + struct.pack("<II", VERSION, len(header)) + header + payload
 

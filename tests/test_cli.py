@@ -295,9 +295,47 @@ class TestSpectrum:
     def test_empty_input_dir(self, tmp_path):
         assert run("spectrum", "--in", str(tmp_path)) == 3
 
+    def test_reads_only_the_files_run_json_lists(self, tmp_path):
+        run_dir, other = tmp_path / "run", tmp_path / "other"
+        assert run(*TestSimulate.ARGS, "--out", str(run_dir)) == 0
+        assert run(*TestSimulate.ARGS[:-4], "--traces", "5", "--seed", "43",
+                   "--out", str(other)) == 0
+        stray = other / "trace_00004.ftrc"   # a file of another run, copied in
+        (run_dir / stray.name).write_bytes(stray.read_bytes())
+        path = tmp_path / "spec.csv"
+        assert run("spectrum", "--in", str(run_dir), "--out", str(path)) == 0
+        assert "# ensemble_size=3" in path.read_text()
+
+    @pytest.mark.parametrize("manifest", [
+        pytest.param(None, id="missing"),
+        pytest.param("{", id="not-json"),
+        pytest.param("[]", id="not-an-object"),
+        pytest.param('{"config": {}}', id="no-files"),
+        pytest.param('{"files": "trace_00000.ftrc"}', id="files-not-a-list"),
+        pytest.param('{"files": []}', id="empty"),
+        pytest.param('{"files": ["trace_00000.ftrc", 5]}', id="not-a-string"),
+        pytest.param('{"files": ["../run/trace_00000.ftrc"]}', id="parent-path"),
+        pytest.param('{"files": ["sub/trace_00000.ftrc"]}', id="subdirectory"),
+        pytest.param('{"files": [""]}', id="empty-name"),
+        pytest.param('{"files": [".."]}', id="dot-dot"),
+        pytest.param('{"files": ["trace_00000.ftrc", "trace_00000.ftrc"]}', id="duplicate"),
+    ])
+    def test_missing_or_malformed_run_json(self, tmp_path, capsys, manifest):
+        run_dir = tmp_path / "run"
+        assert run(*TestSimulate.ARGS, "--out", str(run_dir)) == 0
+        if manifest is None:   # as a simulate run cut short leaves it
+            (run_dir / "run.json").unlink()
+        else:
+            (run_dir / "run.json").write_text(manifest)
+        assert run("g2", "--in", str(run_dir)) == 3
+        err = capsys.readouterr().err
+        assert "run.json" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("record", [b"FTRC\x01", b"FTRC\x01\x00\x00\x00\x01\x00\x00\x00\xff"])
     def test_corrupt_trace_file(self, tmp_path, capsys, record):
         (tmp_path / "bad.ftrc").write_bytes(record)
+        (tmp_path / "run.json").write_text('{"files": ["bad.ftrc"]}')
         assert run("spectrum", "--in", str(tmp_path)) == 3
         err = capsys.readouterr().err
         assert "bad.ftrc: trace" in err

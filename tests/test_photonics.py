@@ -240,13 +240,16 @@ class TestSweep:
         model = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
                               jitter_band=100.0, jitter_corr_time=10.0)
         dt, n, seed, n_traces = 1e-3, 50000, 37, 5
-        rows = filtered_laser_sweep(model, [2.0], dt, n, seed, n_traces)
-        filt = FilterSpec(0.0, 2.0)
-        manual = g2((apply_filter(t, filt)
-                     for t in generate_ensemble(model, dt, n, seed, n_traces)),
-                    [0.0], burn_in=10.0)
-        assert rows[0].g2_zero == pytest.approx(manual.values[0], rel=1e-12)
-        assert rows[0].ensemble_size == n_traces
+        rows = filtered_laser_sweep(model, [100.0, 2.0, 0.5], dt, n, seed, n_traces)
+        # the sweep's moments and g2's row are two kernels: they agree bit for bit
+        for row, burn_in in zip(rows, [10.0, 10.0, 20.0]):   # max(10/fwhm, 10/gamma)
+            filt = FilterSpec(0.0, row.fwhm)
+            manual = g2((apply_filter(t, filt)
+                         for t in generate_ensemble(model, dt, n, seed, n_traces)),
+                        [0.0], burn_in=burn_in)
+            assert row.g2_zero == manual.values[0]
+            assert row.std_error == manual.std_errors[0]
+            assert row.ensemble_size == n_traces
 
     def test_thermal_input_stays_thermal_at_every_width(self):
         # Gaussian fields stay Gaussian under linear filtering

@@ -1,5 +1,6 @@
-"""Property tests: the chunk rule, .ftrc round trips, Parseval, g2 of a
-constant-modulus beam and the grid rule, over generated inputs.
+"""Property tests: the chunk rule, .ftrc round trips and corrupt records,
+Parseval, g2 of a constant-modulus beam and the grid rule, over generated
+inputs.
 
 Examples are derandomized and capped, so every run checks the same few
 dozen cases per property and tier-1 grows by seconds at most.
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -125,3 +126,25 @@ def test_every_family_rejects_a_coarse_dt_with_one_message(gamma, coarser, n):
             generate_ensemble(BeamModelSpec(family=family, nu=1.0, gamma=gamma), dt, n, 0, 1)
         messages.add(str(exc.value))
     assert len(messages) == 1
+
+
+@PROPERTY
+@given(trace=traces(), data=st.data())
+def test_corrupt_record_decodes_or_is_rejected(trace, data):
+    """A valid record cut short, or with one byte changed, decodes to a
+    FieldTrace or raises ConfigurationError, and never anything else."""
+    record = bytearray(trace_to_bytes(trace))
+    hlen = int.from_bytes(record[8:12], "little")
+    # half the changes fall in the JSON header, and half the bytes written are printable
+    at = data.draw(st.one_of(st.integers(12, 11 + hlen), st.integers(0, len(record) - 1)))
+    if data.draw(st.booleans()):
+        del record[at:]
+    else:
+        byte = data.draw(st.one_of(st.integers(32, 126), st.integers(0, 255)))
+        assume(byte != record[at])
+        record[at] = byte
+    try:
+        decoded = trace_from_bytes(bytes(record))
+    except ConfigurationError:
+        return
+    assert isinstance(decoded, FieldTrace)

@@ -2,7 +2,6 @@
 block size, errors where the serial scan raises them, and no task left
 behind."""
 
-import functools
 import math
 import sys
 import threading
@@ -18,7 +17,6 @@ from beamsim.fieldgen import (
     FAMILIES,
     BeamModelSpec,
     Ensemble,
-    generate_block,
     generate_ensemble,
     generate_trace,
 )
@@ -236,19 +234,21 @@ def test_mismatched_grid_raises_like_the_serial_scan(monkeypatch, k):
     assert settled
 
 
-def failing_ensemble(failing, slow=()):
+class FailingEnsemble(Ensemble):
     """TRACES thermal traces whose blocks are generated in the pool's tasks
     and fail there: a block holding a trace i in `failing` raises "trace i
     failed" (its first such i), after 50 ms if i is in `slow`."""
-    def make_block(indices):
-        for i in indices:
-            if i in failing:
-                time.sleep(0.05 if i in slow else 0.0)
-                raise DomainError(f"trace {i} failed")
-        return generate_block(THERMAL, DT, N, SEED, indices)
 
-    return Ensemble(functools.partial(generate_trace, THERMAL, DT, N, SEED), range(TRACES),
-                    make_block)
+    def __init__(self, failing, slow=()):
+        super().__init__(THERMAL, DT, N, SEED, range(TRACES))
+        self.failing, self.slow = failing, slow
+
+    def make_block(self, indices):
+        for i in indices:
+            if i in self.failing:
+                time.sleep(0.05 if i in self.slow else 0.0)
+                raise DomainError(f"trace {i} failed")
+        return super().make_block(indices)
 
 
 def test_earliest_error_wins(monkeypatch):
@@ -256,7 +256,7 @@ def test_earliest_error_wins(monkeypatch):
     that fails first; and a generation error at trace 6 comes after a grid
     mismatch at trace 5 when the scan pulls the traces."""
     pooled, serial, settled = pooled_error(monkeypatch,
-                                           lambda: failing_ensemble({5, 8}, slow={5}))
+                                           lambda: FailingEnsemble({5, 8}, slow={5}))
     assert pooled == serial == "trace 5 failed"
     assert settled
 
@@ -271,7 +271,7 @@ def test_earliest_error_wins(monkeypatch):
 
 
 def test_generation_error_raises_like_the_serial_scan(monkeypatch):
-    pooled, serial, settled = pooled_error(monkeypatch, lambda: failing_ensemble({7}))
+    pooled, serial, settled = pooled_error(monkeypatch, lambda: FailingEnsemble({7}))
     assert pooled == serial == "trace 7 failed"
     assert settled
 
