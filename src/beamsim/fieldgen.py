@@ -138,10 +138,15 @@ def _check_finite(samples: np.ndarray) -> None:
 
 
 def _check_grid(model: BeamModelSpec, dt: float, n: int) -> None:
-    """The one grid rule: dt <= 0.01/gamma for every family, and for the two
-    frequency-mode families, whose traces are periodic in their duration,
-    duration > 10/gamma.  The exact discretizations of the time-domain
-    families are valid at any duration."""
+    """The one grid rule: a finite dt > 0 and an integer n >= 2;
+    dt <= 0.01/gamma for every family, and for the two frequency-mode
+    families, whose traces are periodic in their duration, duration >
+    10/gamma.  The exact discretizations of the time-domain families are
+    valid at any duration."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"dt must be finite and > 0, got {dt!r}")
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ConfigurationError(f"n must be an integer >= 2, got {n!r}")
     bound = 0.01 / model.gamma
     if dt > bound * (1.0 + 1e-12):
         raise ConfigurationError(

@@ -176,8 +176,8 @@ def photon_counts(trace: FieldTrace, window_T: float,
     With no explicit rng, a counting stream tied to the trace's seed and index
     is used, so records are reproducible.
     """
-    if window_T < trace.dt:
-        raise ConfigurationError("window_T must be >= dt")
+    if not (math.isfinite(window_T) and window_T >= trace.dt):
+        raise ConfigurationError(f"window_T must be finite and >= dt, got {window_T!r}")
     if trace.duration < 10.0 * window_T:
         raise ConfigurationError("trace must be at least 10 windows long")
     w = int(round(window_T / trace.dt))
@@ -228,13 +228,14 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
                          center_detuning: float = 0.0) -> list[SweepRow]:
     """g2(0) of the filtered beam for each filter width, sharing one ensemble.
 
-    Each trace is transformed once; every filter reuses the transform.  The
-    per-filter burn-in is max(10/fwhm, 10/Gamma) and must leave at least half
-    of the trace for analysis.  The filters of a row go to the pool, one per
-    worker, unless the row already runs on a pool worker (a pooled scan).
+    Each trace is made in the calling thread and transformed once; its
+    filters reuse the transform on the pool, one per worker.  The per-filter
+    burn-in is max(10/fwhm, 10/Gamma) and must leave at least half of the
+    trace for analysis.
     """
     if len(fwhm_list) == 0:
         raise DomainError("need at least one filter fwhm")
+    traces = generate_ensemble(model, dt, n, master_seed, n_traces)
     filters = [FilterSpec(center_detuning=center_detuning, fwhm=f) for f in fwhm_list]
     burns = [max(f.suggested_burn_in(), 10.0 / model.gamma) for f in filters]
     responses = []
@@ -248,29 +249,28 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
 
     def moments(branch):
         # time-mean intensity and time-mean squared intensity past the
-        # burn-in, per trace, computed in the buffer of the filtered modes
+        # burn-in, computed in the buffer of the filtered modes
         filtered, skip = branch
-        np.fft.fft(filtered, axis=1, out=filtered)
-        re, im = filtered.real[:, skip:], filtered.imag[:, skip:]
+        np.fft.fft(filtered, out=filtered)
+        re, im = filtered.real[skip:], filtered.imag[skip:]
         np.square(re, out=re)
         np.square(im, out=im)
         re += im
-        mean = re.mean(axis=1)
+        mean = re.mean()
         np.square(re, out=re)
-        return mean, re.mean(axis=1)
+        return mean, re.mean()
 
-    def row(block):
-        modes = np.fft.ifft(block, axis=1)
+    def row(trace):
+        # the trace and its modes are freed before the next trace is made
+        modes = np.fft.ifft(trace.samples)
         # each product is allocated here, one branch at a time, as it is pulled
         branches = ((modes * resp, skip) for resp, skip in zip(responses, skips))
-        return np.column_stack([m for pair in _ordered_map(moments, branches)
-                                for m in pair])
+        return [m for pair in _ordered_map(moments, branches) for m in pair]
 
-    _, count, rows = _scan(generate_ensemble(model, dt, n, master_seed, n_traces),
-                           lambda dt, n: row)
+    rows = np.array(list(map(row, traces)))
     sweep = []
     for slot, f in enumerate(filters):
         value, err = _ratio_estimate(rows[:, 2 * slot + 1], rows[:, 2 * slot])
         sweep.append(SweepRow(fwhm=f.fwhm, g2_zero=float(value),
-                              std_error=err, ensemble_size=count))
+                              std_error=err, ensemble_size=len(rows)))
     return sweep

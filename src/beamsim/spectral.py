@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import closing
@@ -101,6 +100,8 @@ class StationarityReport:
 
 def _fft_bin(dt: float, n: int, detuning: float) -> int:
     """Unshifted DFT bin index for an on-grid detuning."""
+    if not math.isfinite(detuning):
+        raise DomainError(f"detuning must be finite, got {detuning!r}")
     duration = n * dt
     l = int(round(detuning * duration / TWO_PI))
     if abs(l * TWO_PI / duration - detuning) > 1e-6 * max(abs(detuning), TWO_PI / duration):
@@ -176,7 +177,7 @@ def _chunking(n: int, blocked: bool) -> tuple[int, int]:
     4096 samples) is not worth a pool task, and the scan is serial: handing
     the GIL between threads then costs more than the native work they
     overlap.  Fewer than two blocks in 8 MiB (traces over 8 blocks' bytes,
-    such as the 10^6-sample sweep) mean a serial scan too: one in flight.
+    such as 10^6-sample traces) mean a serial scan too: one in flight.
     """
     per_block = max(1, _BLOCK_BYTES // (16 * n)) if blocked else 1
     block = 16 * n * per_block
@@ -184,25 +185,15 @@ def _chunking(n: int, blocked: bool) -> tuple[int, int]:
     return per_block, in_flight if in_flight >= 2 and 8 * block >= _BLOCK_BYTES else 1
 
 
-# Set on the pool's own threads: a row running there must not wait on tasks
-# queued behind it on the same pool.
-_on_worker = threading.local()
-
-
-def _mark_worker() -> None:
-    _on_worker.active = True
-
-
 @functools.cache
 def _executor(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="beamsim-scan",
-                              initializer=_mark_worker)
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="beamsim-scan")
 
 
 def _ordered_map(fn: Callable, items: Iterable, window: int | None = None) -> Iterator:
     """fn(item) for each item, in order, with up to `window` calls in flight
     on the shared pool, one per worker by default (serially for a window
-    below 2, or when called from a pool worker).
+    below 2).
 
     An exception, raised by fn or by pulling the next item, surfaces where
     the serial loop would raise it.  Once the generator finishes or is
@@ -210,7 +201,7 @@ def _ordered_map(fn: Callable, items: Iterable, window: int | None = None) -> It
     """
     if window is None:
         window = _WORKERS
-    if window < 2 or getattr(_on_worker, "active", False):
+    if window < 2:
         yield from map(fn, items)
         return
     pool = _executor(_WORKERS)

@@ -180,6 +180,8 @@ class TestPhotonCounts:
             photon_counts(trace, window_T=0.0123)    # not a multiple of dt
         with pytest.raises(ConfigurationError):
             photon_counts(trace, window_T=10.0)      # fewer than 10 windows
+        with pytest.raises(ConfigurationError, match="finite"):
+            photon_counts(trace, window_T=math.nan)
 
 
 class TestFanoFactor:

@@ -1,6 +1,6 @@
 """Property tests: the chunk rule, .ftrc round trips and corrupt records,
-Parseval, g2 of a constant-modulus beam and the grid rule, over generated
-inputs.
+Parseval, the spectrum's linearity in nu, g2 of a constant-modulus beam and
+the grid rule, over generated inputs.
 
 Examples are derandomized and capped, so every run checks the same few
 dozen cases per property and tier-1 grows by seconds at most.
@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beamsim import ConfigurationError, spectral
+from beamsim import ConfigurationError, fieldgen, spectral
 from beamsim.fieldgen import (
     _MODE_FAMILIES,
     FAMILIES,
@@ -24,8 +24,8 @@ from beamsim.fieldgen import (
     generate_ensemble,
     generate_trace,
 )
-from beamsim.photonics import g2
-from beamsim.spectral import _amplitude_transform, _power
+from beamsim.photonics import filtered_laser_sweep, g2
+from beamsim.spectral import _amplitude_transform, _power, spectrum
 from beamsim.traceio import trace_from_bytes, trace_to_bytes
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -100,6 +100,31 @@ def test_parseval(block, dt):
     np.testing.assert_array_equal(_power(block, dt, slice(b, b + 1)), _power(block, dt)[:, b:b + 1])
 
 
+def model_of(family, nu=1.0, gamma=1.0):
+    jitter = ({"jitter_band": 5.0 * gamma, "jitter_corr_time": 1.5 / gamma}
+              if family == "jittered_laser" else {})
+    return BeamModelSpec(family=family, nu=nu, gamma=gamma, **jitter)
+
+
+@PROPERTY
+@given(c=st.floats(1e-6, 1e6))
+def test_spectrum_is_linear_in_nu(c):
+    """spectrum at nu*c is c times spectrum at nu, values and std_errors, for
+    every family at one seed.  kspace_product's mode moduli are fixed, so its
+    periodogram has no spread: its std_errors are rounding noise, about 1e-8
+    of each value, on both sides."""
+    for family in FAMILIES:
+        base, scaled = (spectrum(generate_ensemble(model_of(family, nu), 0.01, 2001, 11, 4))
+                        for nu in (100.0, 100.0 * c))
+        np.testing.assert_allclose(scaled.values, c * base.values, rtol=1e-12, atol=0)
+        if family == "kspace_product":
+            for est in (base, scaled):
+                assert np.all(est.std_errors <= 1e-6 * est.values)
+        else:
+            np.testing.assert_allclose(scaled.std_errors, c * base.std_errors,
+                                       rtol=1e-12, atol=0)
+
+
 LASER = BeamModelSpec(family="laser", nu=1.0, gamma=1.0)
 
 
@@ -126,6 +151,33 @@ def test_every_family_rejects_a_coarse_dt_with_one_message(gamma, coarser, n):
             generate_ensemble(BeamModelSpec(family=family, nu=1.0, gamma=gamma), dt, n, 0, 1)
         messages.add(str(exc.value))
     assert len(messages) == 1
+
+
+def no_draws(*args):
+    raise AssertionError("a trace was drawn")
+
+
+@pytest.mark.parametrize("dt, n, message", [
+    (-0.01, 2000, "dt must be finite and > 0"),
+    (-2.5e-4, 2000, "dt must be finite and > 0"),
+    (0.0, 2000, "dt must be finite and > 0"),
+    (math.nan, 2000, "dt must be finite and > 0"),
+    (math.inf, 2000, "dt must be finite and > 0"),
+    (0.001, 0, "n must be an integer >= 2"),
+    (0.001, 1, "n must be an integer >= 2"),
+    (0.001, -5, "n must be an integer >= 2"),
+    (0.001, 2000.0, "n must be an integer >= 2"),
+])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_rejects_a_bad_grid_before_any_draw(monkeypatch, family, dt, n, message):
+    """The grid rule speaks before any trace is drawn, through the ensemble
+    and through the sweep, ahead of the sweep's own filter checks."""
+    monkeypatch.setattr(fieldgen, "trace_rng", no_draws)
+    model = model_of(family)
+    with pytest.raises(ConfigurationError, match=message):
+        next(generate_ensemble(model, dt, n, 0, 1))
+    with pytest.raises(ConfigurationError, match=message):
+        filtered_laser_sweep(model, [10.0], dt, n, 0, 1)
 
 
 @PROPERTY

@@ -6,12 +6,13 @@ import math
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from beamsim import spectral
+from beamsim import photonics, spectral
 from beamsim.errors import DomainError
 from beamsim.fieldgen import (
     FAMILIES,
@@ -193,11 +194,13 @@ def test_traces_not_generated_in_blocks_stay_one_per_task(monkeypatch, tmp_path,
 
 
 class RecordingExecutor(ThreadPoolExecutor):
-    def __init__(self):
-        super().__init__(max_workers=2)
+    def __init__(self, threads=2):
+        super().__init__(max_workers=threads)
         self.futures = []
+        self.submitters = []
 
     def submit(self, fn, *args):
+        self.submitters.append(threading.current_thread())
         future = super().submit(fn, *args)
         self.futures.append(future)
         return future
@@ -307,12 +310,10 @@ SWEEP_N = 2 * N
 SWEEP_FWHMS = [100.0, 30.0, 10.0, 3.0, 1.0]
 
 
-def test_sweep_filters_pool_only_when_the_scan_cannot(monkeypatch):
+def test_chunking_table(monkeypatch):
     monkeypatch.undo()   # the default 512 KiB blocks
     monkeypatch.setattr(spectral, "_WORKERS", 2)
-    # (n, generated in blocks, traces per block, whether the scan pools);
-    # a row of a scan that does not pool runs in the calling thread, and
-    # sends its filters to the pool
+    # (n, generated in blocks, traces per block, whether the scan pools)
     for n, blocked, per_block, pooled in [
             (4000, True, 8, True), (4000, False, 1, False),
             (4096, False, 1, True), (32768, True, 1, True),
@@ -341,31 +342,55 @@ def test_sweep_filters_on_the_pool_are_bit_identical(monkeypatch, fast_switching
 
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "_WORKERS", 1)
-        mp.setattr(spectral, "_BLOCK_BYTES", 0)
         expected = sweep()
     calls = []
     executor = spectral._executor
     monkeypatch.setattr(spectral, "_executor", lambda w: calls.append(w) or executor(w))
     monkeypatch.setattr(spectral, "_WORKERS", workers)
-    # 16 blocks' bytes hold just under two sweep traces: the scan is
-    # serial, its filters are not
-    monkeypatch.setattr(spectral, "_BLOCK_BYTES", (2 * 16 * SWEEP_N - 1) // 16)
     assert_bitwise_equal(sweep(), expected)
+    # traces of any size: the sweep maps each trace's filters over the pool
     assert calls == ([workers] * TRACES if workers > 1 else [])
 
 
-def test_ordered_map_on_a_pool_worker_runs_serially():
-    """Every call runs on the worker itself: a worker that waited on tasks
-    queued behind it on its own pool could wait for ever."""
-    pool = spectral._executor.__wrapped__(1)   # a fresh pool, made as the scan's is
+def test_every_task_is_submitted_from_the_calling_thread(monkeypatch):
+    """No row submits work to the pool from a worker, where it would wait on
+    tasks queued behind it on its own pool."""
+    pool = RecordingExecutor(threads=8)   # enough that such a wait would not hang here
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_executor", lambda w: pool)
     try:
-        def nested():
-            caller = threading.get_ident()
-            return list(spectral._ordered_map(
-                lambda i: (i, threading.get_ident() == caller), range(6), 4))
-        assert pool.submit(nested).result(timeout=60) == [(i, True) for i in range(6)]
+        estimates(lambda: generate_ensemble(THERMAL, DT, N, SEED, TRACES))
     finally:
-        pool.shutdown(wait=False)
+        pool.shutdown()
+    assert len(pool.submitters) > 2 * TRACES   # the sweep's filters and the scans' blocks
+    assert set(pool.submitters) == {threading.current_thread()}
+
+
+def test_sweep_holds_no_trace_when_it_makes_the_next(monkeypatch):
+    """The sweep frees each trace and its modes before it asks for the next
+    trace: one 10^6-sample trace and its modes take 32 MB."""
+    made = []   # weak references to every trace, its samples and its modes
+    ifft = np.fft.ifft
+
+    def recording_ifft(a, *args, **kwargs):
+        modes = ifft(a, *args, **kwargs)
+        made.append(weakref.ref(modes))
+        return modes
+
+    def traces(model, dt, n, master_seed, n_traces):
+        for i in range(n_traces):
+            assert all(ref() is None for ref in made)
+            trace = generate_trace(model, dt, n, master_seed, i)
+            made.extend([weakref.ref(trace), weakref.ref(trace.samples)])
+            yield trace
+            del trace
+
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(photonics, "generate_ensemble", traces)
+    monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+    rows = filtered_laser_sweep(JITTERED, SWEEP_FWHMS, DT, SWEEP_N, SEED, TRACES)
+    assert rows[0].ensemble_size == TRACES
+    assert len(made) == 3 * TRACES
 
 
 @pytest.mark.parametrize("family", ["thermal", "jittered_laser"])

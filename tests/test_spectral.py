@@ -152,9 +152,10 @@ class TestPeriodogramDistribution:
                 generate_ensemble(THERMAL, 0.01, 2000, 5, 999), detuning=0.0))
 
     def test_off_grid_detuning_rejected(self):
-        with pytest.raises(DomainError):
-            periodogram_bin_values(
-                generate_ensemble(THERMAL, 0.01, 2000, 5, 2), detuning=0.1234)
+        for detuning in (0.1234, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                periodogram_bin_values(
+                    generate_ensemble(THERMAL, 0.01, 2000, 5, 2), detuning=detuning)
 
     def test_beyond_nyquist_rejected(self):
         with pytest.raises(DomainError):
@@ -214,6 +215,11 @@ class TestCrossModeCorrelation:
     def test_empty_pairs_rejected(self):
         with pytest.raises(DomainError):
             cross_mode_correlation(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [])
+
+    def test_non_finite_detuning_rejected(self):
+        with pytest.raises(DomainError, match="detuning must be finite"):
+            cross_mode_correlation(generate_ensemble(THERMAL, 0.01, 2000, 1, 2),
+                                   [(0.0, 0.0), (math.inf, math.nan)])
 
 
 class TestWienerKhinchin:
