@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigurationError, DomainError
 
@@ -187,6 +186,7 @@ def _complex_normals(master_seed: int, indices: range, n: int) -> np.ndarray:
 def _thermal(model: BeamModelSpec, dt: float, n: int, master_seed: int,
              indices: range) -> np.ndarray:
     """Exact-discretization complex OU process with kernel exp(-Gamma tau / 2)."""
+    from scipy.signal import lfilter   # on first use: scipy.signal takes most of a second
     a, sigma2 = _ou_step_coefficients(model.nu, model.gamma, dt)
     x = _complex_normals(master_seed, indices, n)
     x0 = x[:, 0] * math.sqrt(model.mean_flux)  # stationary initial sample
@@ -214,6 +214,7 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
         rng.standard_normal(out=inc[r])
     inc *= math.sqrt(model.gamma * dt)
     if model.jitter_band > 0:
+        from scipy.signal import lfilter
         s = model.jitter_band / 2.0
         aj = math.exp(-dt / model.jitter_corr_time)
         h = np.empty((k, n - 1))
@@ -279,23 +280,29 @@ _GENERATORS = {
 }
 
 
+def _samples(model: BeamModelSpec, dt: float, n: int, master_seed: int,
+             indices: range) -> np.ndarray:
+    """The grid check, then the family's samples function for `indices`."""
+    _check_grid(model, dt, n)
+    return _GENERATORS[model.family](model, dt, n, master_seed, indices)
+
+
 def generate_block(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                    indices: range) -> np.ndarray:
     """The samples of traces `indices` (consecutive) on the grid (dt, n), as
-    the rows of a (len(indices), n) block, after the grid check and before
-    the finite check.  Row r equals generate_trace(model, dt, n, master_seed,
-    indices[r]).samples bit for bit."""
-    _check_grid(model, dt, n)
-    block = _GENERATORS[model.family](model, dt, n, master_seed, indices)
+    the rows of a (len(indices), n) block, grid- and finite-checked.  Row r
+    equals generate_trace(model, dt, n, master_seed, indices[r]).samples."""
+    block = _samples(model, dt, n, master_seed, indices)
     _check_finite(block)
     return block
 
 
 def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                    trace_index: int = 0) -> FieldTrace:
-    """One trace of the model's family on the grid (dt, n): a block of one.
-    Its draws come only from trace_rng(master_seed, trace_index, channel)."""
-    samples = generate_block(model, dt, n, master_seed, range(trace_index, trace_index + 1))
+    """One trace of the model's family on the grid (dt, n): a block of one,
+    finite-checked once, by FieldTrace.  Its draws come only from
+    trace_rng(master_seed, trace_index, channel)."""
+    samples = _samples(model, dt, n, master_seed, range(trace_index, trace_index + 1))
     return FieldTrace(samples=samples[0], dt=dt, model=model, master_seed=master_seed,
                       trace_index=trace_index)
 

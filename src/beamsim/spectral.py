@@ -165,24 +165,19 @@ _WORKERS = len(os.sched_getaffinity(0))
 _BLOCK_BYTES = 512 << 10
 
 
-def _chunking(n: int, blocked: bool) -> tuple[int, int]:
-    """The one chunk rule for traces of n samples: (traces per block, blocks
-    in flight).
+def _chunking(n: int) -> tuple[int, int]:
+    """The one chunk rule for a generated ensemble of traces of n samples:
+    (traces per block, blocks in flight).
 
-    A block holds as many traces as fit in _BLOCK_BYTES, at least one, or
-    just one unless `blocked` (traces pulled one by one); its size
-    never depends on the worker count, and no output depends on it.  Two
-    blocks per worker are in flight, within 16 blocks' bytes (8 MiB).  A
-    block under an eighth of _BLOCK_BYTES (64 KiB: one trace of fewer than
-    4096 samples) is not worth a pool task, and the scan is serial: handing
-    the GIL between threads then costs more than the native work they
-    overlap.  Fewer than two blocks in 8 MiB (traces over 8 blocks' bytes,
-    such as 10^6-sample traces) mean a serial scan too: one in flight.
+    A block holds as many traces as fit in _BLOCK_BYTES, at least one; its
+    size never depends on the worker count, and no output depends on it.
+    Two blocks per worker are in flight, within 16 blocks' bytes (8 MiB).
+    Fewer than two blocks in 8 MiB (traces over 8 blocks' bytes, such as
+    10^6-sample traces) mean a serial scan: one in flight.
     """
-    per_block = max(1, _BLOCK_BYTES // (16 * n)) if blocked else 1
-    block = 16 * n * per_block
-    in_flight = min(2 * _WORKERS, 16 * _BLOCK_BYTES // block)
-    return per_block, in_flight if in_flight >= 2 and 8 * block >= _BLOCK_BYTES else 1
+    per_block = max(1, _BLOCK_BYTES // (16 * n))
+    in_flight = min(2 * _WORKERS, 16 * _BLOCK_BYTES // (16 * n * per_block))
+    return per_block, in_flight if in_flight >= 2 else 1
 
 
 @functools.cache
@@ -195,9 +190,10 @@ def _ordered_map(fn: Callable, items: Iterable, window: int | None = None) -> It
     on the shared pool, one per worker by default (serially for a window
     below 2).
 
-    An exception, raised by fn or by pulling the next item, surfaces where
-    the serial loop would raise it.  Once the generator finishes or is
-    closed, no call it submitted is still running.
+    Items are pulled ahead of the results: pulling one must not fail but
+    for want of memory.  An exception raised by fn surfaces where the serial
+    loop would raise it.  Once the generator finishes or is closed, no call
+    it submitted is still running.
     """
     if window is None:
         window = _WORKERS
@@ -206,17 +202,8 @@ def _ordered_map(fn: Callable, items: Iterable, window: int | None = None) -> It
         return
     pool = _executor(_WORKERS)
     pending: deque[Future] = deque()
-    items = iter(items)
     try:
-        while True:
-            try:
-                item = next(items)
-            except StopIteration:
-                break
-            except Exception:
-                while pending:   # the results before the failed pull come first
-                    yield pending.popleft().result()
-                raise
+        for item in items:
             pending.append(pool.submit(fn, item))
             if len(pending) >= window:
                 yield pending.popleft().result()
@@ -240,13 +227,14 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
     (a whole periodogram) are never kept per trace.  Returns (dt, number of
     traces, matrix).
 
-    Later traces go through `row` on the shared pool, sized and kept in
-    flight by `_chunking`, in one of two ways.  An `Ensemble` is generated
-    there in blocks of consecutive traces, one task per block.  Traces from
-    any other iterable are pulled (made or read) in the calling thread and
-    go one per block.  Rows are stacked or folded here, one by one in trace
-    order, so every output is bit-identical for any worker count or block
-    size, and an error surfaces at the trace where a serial scan raises it.
+    Later traces go through `row` in one of two ways.  An `Ensemble` is
+    generated on the shared pool in blocks of consecutive traces, one task
+    per block, sized and kept in flight by `_chunking`.  Traces from any
+    other iterable are pulled (made or read), checked and reduced one by one
+    in the calling thread, so an error at a trace stops the pull there.
+    Rows are stacked or folded here, one by one in trace order, so every
+    output is bit-identical for any worker count or block size, and an
+    error surfaces at the trace where a serial scan raises it.
     """
     traces = iter(traces)
     first = next(traces, None)
@@ -256,8 +244,8 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
     row = setup(dt, n)
     first_rows = row(first.samples[np.newaxis])
     del first   # a trace can be large: do not hold it through the scan
-    per_block, window = _chunking(n, isinstance(traces, Ensemble))
     if isinstance(traces, Ensemble):
+        per_block, window = _chunking(n)
         rest, make_block = traces.take_rest(), traces.make_block
         items = (rest[i:i + per_block] for i in range(0, len(rest), per_block))
         def fn(indices: range) -> np.ndarray:
@@ -266,7 +254,7 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
         def fn(trace: FieldTrace) -> np.ndarray:
             _check_same_grid(trace, dt, n)
             return row(trace.samples[np.newaxis])   # a one-trace block is a view
-        items = traces
+        items, window = traces, 1
     rows: list | np.ndarray = []
     count = 0
     with closing(_ordered_map(fn, items, window)) as later:
@@ -511,19 +499,13 @@ def estimate_fwhm(est: SpectrumEstimate, smooth_bins: int = 1) -> float:
         v = np.convolve(v, kernel, mode="same")
     ipk = int(np.argmax(v))
     half = v[ipk] / 2.0
-    # walk outward from the peak to the first crossings
-    left = None
-    for i in range(ipk, 0, -1):
-        if v[i - 1] < half <= v[i]:
-            frac = (half - v[i - 1]) / (v[i] - v[i - 1])
-            left = g[i - 1] + frac * (g[i] - g[i - 1])
-            break
-    right = None
-    for i in range(ipk, len(v) - 1):
-        if v[i + 1] < half <= v[i]:
-            frac = (v[i] - half) / (v[i] - v[i + 1])
-            right = g[i] + frac * (g[i + 1] - g[i])
-            break
-    if left is None or right is None:
+    # the nearest below-half samples on each side of the peak
+    below = np.flatnonzero(v < half)
+    left, right = below[below < ipk], below[below > ipk]
+    if left.size == 0 or right.size == 0:
         raise DomainError("half-max crossings not found; spectrum not single-peaked")
-    return float(right - left)
+
+    def crossing(i: int) -> float:
+        """Where the line through samples i and i + 1 crosses half."""
+        return g[i] + (half - v[i]) / (v[i + 1] - v[i]) * (g[i + 1] - g[i])
+    return float(crossing(right[0] - 1) - crossing(left[-1]))

@@ -2,9 +2,16 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsim import cli, fieldgen
 from beamsim.cli import main
@@ -150,7 +157,8 @@ class TestDomainAndGridErrors:
         def no_generation(*args):
             raise AssertionError("a trace was generated")
 
-        monkeypatch.setattr(fieldgen, "generate_block", no_generation)
+        monkeypatch.setattr(fieldgen, "_GENERATORS",
+                            dict.fromkeys(fieldgen.FAMILIES, no_generation))
         assert run("qslb-demo", *self.MODEL, "--dt", "0.01", "--duration", "5") == 3
         captured = capsys.readouterr()
         assert "duration 5 too short; require duration > 10/gamma" in captured.err
@@ -160,7 +168,8 @@ class TestDomainAndGridErrors:
         def no_generation(*args):
             raise AssertionError("a trace was generated")
 
-        monkeypatch.setattr(fieldgen, "generate_block", no_generation)
+        monkeypatch.setattr(fieldgen, "_GENERATORS",
+                            dict.fromkeys(fieldgen.FAMILIES, no_generation))
         assert run("qslb-demo", "--nu", "100", "--gamma", "1", "--traces", "999",
                    "--seed", "3", "--dt", "0.01", "--duration", "20") == 3
         captured = capsys.readouterr()
@@ -174,7 +183,8 @@ class TestDomainAndGridErrors:
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
-        monkeypatch.setattr(fieldgen, "generate_block", out_of_memory)
+        monkeypatch.setattr(fieldgen, "_GENERATORS",
+                            dict.fromkeys(fieldgen.FAMILIES, out_of_memory))
         extra = {"sweep": ("--fwhms", "10"), "qslb-demo": ()}.get(command,
                                                                   ("--family", "thermal"))
         assert run(command, *extra, "--nu", "100", "--gamma", "1", "--traces", "1000",
@@ -459,6 +469,46 @@ class TestConfigFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert "invalid choice" in err
+
+
+# spectrum's flags and two values of each, on a tiny grid: 32 to 50 samples
+CONFIG_FLAGS = {"family": ("thermal", "laser"), "nu": ("100", "50"), "gamma": ("1", "2"),
+                "dt": ("0.005", "0.004"), "duration": ("0.2", "0.16"),
+                "traces": ("2", "3"), "seed": ("9", "4"), "format": ("csv", "json")}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(ways=st.fixed_dictionaries({flag: st.sampled_from(["flag", "config", "both"])
+                                   for flag in CONFIG_FLAGS}),
+       picks=st.fixed_dictionaries({flag: st.integers(0, 1) for flag in CONFIG_FLAGS}))
+def test_config_file_gives_the_bytes_of_its_flags(ways, picks):
+    """Flags written to a --config file give the output bytes of the same
+    flags on the command line; a flag given both ways takes the command
+    line's value, whatever the file holds."""
+    explicit, flags, lines = [], [], []
+    for flag, values in CONFIG_FLAGS.items():
+        value, other = values[picks[flag]], values[1 - picks[flag]]
+        explicit += [f"--{flag}", value]
+        if ways[flag] != "config":
+            flags += [f"--{flag}", value]
+        if ways[flag] != "flag":
+            lines.append(f"{flag}={other if ways[flag] == 'both' else value}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, direct, configured = (Path(tmp) / name for name in ("run.cfg", "direct", "configured"))
+        cfg.write_text("\n".join(lines) + "\n")
+        assert run("spectrum", *explicit, "--out", str(direct)) == 0
+        assert run("spectrum", "--config", str(cfg), *flags, "--out", str(configured)) == 0
+        assert configured.read_bytes() == direct.read_bytes()
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    """scipy.signal, most of a second of import time, loads on the first
+    trace that needs lfilter."""
+    src = Path(cli.__file__).parents[1]
+    code = "import sys, beamsim.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout == "False\n"
 
 
 class TestSweepCommand:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from beamsim import ConfigurationError, DomainError
+from beamsim import ConfigurationError, DomainError, fieldgen
 from beamsim.fieldgen import (
     BeamModelSpec,
     FieldTrace,
@@ -135,6 +135,21 @@ class TestBlocks:
         inf = BeamModelSpec(family="thermal", nu=1e308, gamma=1e3)
         with pytest.raises(DomainError, match="non-finite"):
             generate_block(inf, 1e-5, 100, 9, range(3))
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_one_finite_check_per_trace_and_per_block(self, monkeypatch, case):
+        model, dt, n = BLOCK_CASES[case]
+        checked = []
+        check = fieldgen._check_finite
+        monkeypatch.setattr(fieldgen, "_check_finite",
+                            lambda samples: checked.append(samples.shape) or check(samples))
+        generate_trace(model, dt, n, 9, 4)
+        assert checked == [(n,)]
+        generate_block(model, dt, n, 9, range(3))
+        assert checked == [(n,), (3, n)]
+        inf = BeamModelSpec(family="thermal", nu=1e308, gamma=1e3)
+        with pytest.raises(DomainError, match="non-finite"):
+            generate_trace(inf, 1e-5, 100, 9)
 
     def test_ensemble_checks_its_grid_before_any_trace(self):
         with pytest.raises(ConfigurationError):

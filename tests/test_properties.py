@@ -34,18 +34,17 @@ KIB = 1 << 10
 
 
 @PROPERTY
-@given(n=st.integers(2, 2 * 10**6), blocked=st.booleans(), workers=st.integers(1, 8))
-def test_chunk_rule(n, blocked, workers):
+@given(n=st.integers(2, 2 * 10**6), workers=st.integers(1, 8))
+def test_chunk_rule(n, workers):
     with mock.patch.object(spectral, "_WORKERS", workers):
-        per_block, in_flight = spectral._chunking(n, blocked)
+        per_block, in_flight = spectral._chunking(n)
     with mock.patch.object(spectral, "_WORKERS", 1):
-        assert spectral._chunking(n, blocked)[0] == per_block   # not the worker count
+        assert spectral._chunking(n)[0] == per_block   # not the worker count
     block = 16 * n * per_block
     assert per_block >= 1
     assert in_flight >= 1   # a serial scan has one block in flight
     assert block <= 512 * KIB or per_block == 1
-    if not blocked:
-        assert per_block == 1
+    assert block > 256 * KIB   # a block is never under half the budget
     if in_flight >= 2:   # a pooled scan
         assert in_flight <= 2 * workers
         assert in_flight * block <= 8 * 1024 * KIB

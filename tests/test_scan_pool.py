@@ -140,10 +140,11 @@ def test_every_family_bit_identical_in_blocks(monkeypatch, family, n):
             assert_bitwise_equal(family_estimates(family, n, 5), expected)
 
 
-def test_traces_too_large_for_two_blocks_in_flight_run_serially(monkeypatch):
-    def no_pool(workers):
-        raise AssertionError("the pool was used")
+def no_pool(workers):
+    raise AssertionError("the pool was used")
 
+
+def test_traces_too_large_for_two_blocks_in_flight_run_serially(monkeypatch):
     monkeypatch.setattr(spectral, "_executor", no_pool)
     monkeypatch.setattr(spectral, "_WORKERS", 1)
     # a block of one trace, and 16 blocks' bytes hold just under two
@@ -169,28 +170,44 @@ def test_small_traces_pool_in_blocks_sized_by_bytes(monkeypatch, workers):
     assert sizes == [16] * 6 + [3]
 
 
-@pytest.mark.parametrize("source", ["pulled", "read from files"])
-def test_traces_not_generated_in_blocks_stay_one_per_task(monkeypatch, tmp_path, source):
-    """Traces pulled from an iterable, made or read from files (as `--in`
-    reads them) in the calling thread, reach the pool one per task where
-    generated ones come three to a block."""
-    pool = RecordingExecutor()
+@pytest.mark.parametrize("n", [N, 8192])
+@pytest.mark.parametrize("source", ["list iterator", "generator", "read from files"])
+def test_pulled_traces_never_reach_the_pool(monkeypatch, tmp_path, source, n):
+    """Traces pulled from any iterable but an Ensemble, made or read from
+    files (as `--in` reads them), are scanned in the calling thread, at any
+    size, and give the numbers of the same traces generated in blocks."""
+    traces = list(generate_ensemble(THERMAL, DT, n, SEED, 20))
     monkeypatch.setattr(spectral, "_WORKERS", 2)
-    monkeypatch.setattr(spectral, "_executor", lambda w: pool)
-    traces = list(generate_ensemble(THERMAL, DT, N, SEED, 20))
-    try:
-        if source == "pulled":
-            est = spectrum(iter(traces))
-        else:
-            paths = [tmp_path / f"trace_{t.trace_index:05d}.ftrc" for t in traces]
-            for trace, path in zip(traces, paths):
-                write_trace(trace, path)
-            est = spectrum(read_trace(path) for path in paths)
-        sizes = [f.result().shape[0] for f in pool.futures]
-    finally:
-        pool.shutdown()
+    expected = spectrum(generate_ensemble(THERMAL, DT, n, SEED, 20))
+    monkeypatch.setattr(spectral, "_executor", no_pool)
+    if source == "list iterator":
+        pulled = iter(traces)
+    elif source == "generator":
+        pulled = (generate_trace(THERMAL, DT, n, SEED, i) for i in range(20))
+    else:
+        paths = [tmp_path / f"trace_{t.trace_index:05d}.ftrc" for t in traces]
+        for trace, path in zip(traces, paths):
+            write_trace(trace, path)
+        pulled = (read_trace(path) for path in paths)
+    est = spectrum(pulled)
     assert est.ensemble_size == 20
-    assert sizes == [1] * 19
+    assert_bitwise_equal([est.values, est.std_errors], [expected.values, expected.std_errors])
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_mismatched_grid_stops_the_pull_at_that_trace(monkeypatch, k):
+    """No trace after a mismatched trace k is made."""
+    made = []
+
+    def traces():
+        for i in range(TRACES):
+            made.append(i)
+            yield generate_trace(THERMAL, DT, N + (i == k), SEED, i)
+
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    with pytest.raises(DomainError, match="ensemble traces must share one time grid"):
+        spectrum(traces())
+    assert made == list(range(k + 1))
 
 
 class RecordingExecutor(ThreadPoolExecutor):
@@ -208,8 +225,8 @@ class RecordingExecutor(ThreadPoolExecutor):
 
 def pooled_error(monkeypatch, make_traces):
     """The exception of spectrum(make_traces()) on a recording pool, the
-    serial scan's, and whether every task it submitted had finished when it
-    surfaced."""
+    serial scan's, the number of tasks it submitted, and whether every one
+    had finished when it surfaced."""
     pool = RecordingExecutor()
     monkeypatch.setattr(spectral, "_WORKERS", 2)
     monkeypatch.setattr(spectral, "_executor", lambda workers: pool)
@@ -222,8 +239,7 @@ def pooled_error(monkeypatch, make_traces):
     with monkeypatch.context() as mp, pytest.raises(DomainError) as serial:
         mp.setattr(spectral, "_BLOCK_BYTES", 0)
         spectrum(make_traces())
-    assert len(pool.futures) > 2
-    return str(pooled.value), str(serial.value), all(settled)
+    return str(pooled.value), str(serial.value), len(pool.futures), all(settled)
 
 
 @pytest.mark.parametrize("k", [1, 5, TRACES - 1])
@@ -232,9 +248,9 @@ def test_mismatched_grid_raises_like_the_serial_scan(monkeypatch, k):
         for i in range(TRACES):
             yield generate_trace(THERMAL, DT, N + (i == k), SEED, i)
 
-    pooled, serial, settled = pooled_error(monkeypatch, traces)
+    pooled, serial, tasks, _ = pooled_error(monkeypatch, traces)
     assert pooled == serial == "ensemble traces must share one time grid"
-    assert settled
+    assert tasks == 0
 
 
 class FailingEnsemble(Ensemble):
@@ -258,25 +274,26 @@ def test_earliest_error_wins(monkeypatch):
     """A failed block of traces 4-6 wins over a failed block of traces 7-9
     that fails first; and a generation error at trace 6 comes after a grid
     mismatch at trace 5 when the scan pulls the traces."""
-    pooled, serial, settled = pooled_error(monkeypatch,
-                                           lambda: FailingEnsemble({5, 8}, slow={5}))
+    pooled, serial, tasks, settled = pooled_error(monkeypatch,
+                                                  lambda: FailingEnsemble({5, 8}, slow={5}))
     assert pooled == serial == "trace 5 failed"
-    assert settled
+    assert tasks > 2 and settled
 
     def make(i):
         if i == 6:
             raise DomainError("generation failed")
         return generate_trace(THERMAL, DT, N + (i == 5), SEED, i)
 
-    pooled, serial, settled = pooled_error(monkeypatch, lambda: (make(i) for i in range(TRACES)))
+    pooled, serial, tasks, _ = pooled_error(monkeypatch,
+                                            lambda: (make(i) for i in range(TRACES)))
     assert pooled == serial == "ensemble traces must share one time grid"
-    assert settled
+    assert tasks == 0
 
 
 def test_generation_error_raises_like_the_serial_scan(monkeypatch):
-    pooled, serial, settled = pooled_error(monkeypatch, lambda: FailingEnsemble({7}))
+    pooled, serial, tasks, settled = pooled_error(monkeypatch, lambda: FailingEnsemble({7}))
     assert pooled == serial == "trace 7 failed"
-    assert settled
+    assert tasks > 2 and settled
 
 
 def test_generate_ensemble_is_an_iterator():
@@ -313,25 +330,12 @@ SWEEP_FWHMS = [100.0, 30.0, 10.0, 3.0, 1.0]
 def test_chunking_table(monkeypatch):
     monkeypatch.undo()   # the default 512 KiB blocks
     monkeypatch.setattr(spectral, "_WORKERS", 2)
-    # (n, generated in blocks, traces per block, whether the scan pools)
-    for n, blocked, per_block, pooled in [
-            (4000, True, 8, True), (4000, False, 1, False),
-            (4096, False, 1, True), (32768, True, 1, True),
-            (262144, True, 1, True), (262145, True, 1, False),
-            (10**6, True, 1, False), (10**6, False, 1, False)]:
-        traces, blocks = spectral._chunking(n, blocked)
+    # (n, traces per block, whether the scan pools)
+    for n, per_block, pooled in [
+            (2000, 16, True), (4000, 8, True), (32768, 1, True),
+            (262144, 1, True), (262145, 1, False), (10**6, 1, False)]:
+        traces, blocks = spectral._chunking(n)
         assert (traces, blocks >= 2) == (per_block, pooled)
-
-
-def test_traces_one_per_block_under_64_kib_run_serially(monkeypatch):
-    """Pulled traces of 2000 samples make 32 KB tasks: not worth the pool."""
-    def no_pool(workers):
-        raise AssertionError("the pool was used")
-
-    monkeypatch.undo()   # the default 512 KiB blocks
-    monkeypatch.setattr(spectral, "_executor", no_pool)
-    traces = list(generate_ensemble(THERMAL, DT, N, SEED, TRACES))
-    assert spectrum(iter(traces)).ensemble_size == TRACES
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
