@@ -147,8 +147,8 @@ def _model_from_args(args: argparse.Namespace) -> BeamModelSpec:
         family=args.family,
         nu=args.nu,
         gamma=args.gamma,
-        jitter_band=getattr(args, "jitter_band", 0.0) or 0.0,
-        jitter_corr_time=getattr(args, "jitter_corr_time", None),
+        jitter_band=args.jitter_band or 0.0,
+        jitter_corr_time=args.jitter_corr_time,
     )
 
 
@@ -164,6 +164,8 @@ def _grid_from_args(args: argparse.Namespace) -> tuple[float, int]:
     n = int(round(ratio))
     if n < 2:
         raise ConfigurationError("duration must cover at least 2 samples")
+    if abs(n * args.dt - args.duration) > 1e-6 * args.duration:
+        raise ConfigurationError(f"--duration {args.duration!r} not a multiple of --dt {args.dt!r}")
     return args.dt, n
 
 
@@ -356,7 +358,7 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser construction
 
-def _add_common(sub: argparse.ArgumentParser, *, model: bool = True,
+def _add_common(sub: argparse.ArgumentParser, *, model: bool = True, family: bool = False,
                 formats: tuple[str, ...] = ("csv", "json")) -> None:
     sub.add_argument("--config", type=str, default=None,
                      help="key=value config file; explicit flags override")
@@ -370,6 +372,10 @@ def _add_common(sub: argparse.ArgumentParser, *, model: bool = True,
         sub.add_argument("--nu", type=float, default=None,
                          help="photons per coherence time (dimensionless)")
         sub.add_argument("--gamma", type=float, default=None, help="linewidth, 1/s")
+    if family:
+        sub.add_argument("--family", choices=FAMILIES, default=None)
+        sub.add_argument("--jitter-band", type=float, default=0.0, help="Delta omega, rad/s")
+        sub.add_argument("--jitter-corr-time", type=float, default=None, help="s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,26 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_blackbody, parser=p)
 
     p = subs.add_parser("simulate", help="generate and store an ensemble of traces")
-    _add_common(p, formats=("csv",))   # .ftrc traces and run.json; nothing to choose
-    p.add_argument("--family", choices=FAMILIES, default=None)
-    p.add_argument("--jitter-band", type=float, default=0.0, help="Delta omega, rad/s")
-    p.add_argument("--jitter-corr-time", type=float, default=None, help="s")
+    _add_common(p, family=True, formats=("csv",))   # .ftrc traces and run.json; nothing to choose
     p.set_defaults(func=cmd_simulate, parser=p)
 
     p = subs.add_parser("spectrum", help="ensemble-averaged periodogram")
-    _add_common(p)
-    p.add_argument("--family", choices=FAMILIES, default=None)
-    p.add_argument("--jitter-band", type=float, default=0.0)
-    p.add_argument("--jitter-corr-time", type=float, default=None)
+    _add_common(p, family=True)
     p.add_argument("--in", dest="in_dir", type=str, default=None,
                    help="directory of stored .ftrc traces (instead of inline generation)")
     p.set_defaults(func=cmd_spectrum, parser=p)
 
     p = subs.add_parser("g2", help="normalized intensity autocorrelation")
-    _add_common(p)
-    p.add_argument("--family", choices=FAMILIES, default=None)
-    p.add_argument("--jitter-band", type=float, default=0.0)
-    p.add_argument("--jitter-corr-time", type=float, default=None)
+    _add_common(p, family=True)
     p.add_argument("--in", dest="in_dir", type=str, default=None)
     p.add_argument("--taus", type=str, default="0.0",
                    help="comma-separated lag values, s (multiples of dt)")

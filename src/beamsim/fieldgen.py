@@ -122,10 +122,6 @@ class FieldTrace:
     def duration(self) -> float:
         return self.n_samples * self.dt
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.dt
-
     def intensity(self) -> np.ndarray:
         """Instantaneous photon flux |alpha|^2."""
         return self.samples.real**2 + self.samples.imag**2
@@ -342,11 +338,11 @@ class Ensemble:
 
 
 def generate_ensemble(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                      n_traces: int, start_index: int = 0) -> Ensemble:
-    """Lazily generate n_traces independent traces with consecutive trace
-    indices.  The trace count and the grid are checked here, before any
+                      n_traces: int) -> Ensemble:
+    """Lazily generate n_traces independent traces, trace indices 0 to
+    n_traces - 1.  The trace count and the grid are checked here, before any
     trace is made."""
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
     _check_grid(model, dt, n)
-    return Ensemble(model, dt, n, master_seed, range(start_index, start_index + n_traces))
+    return Ensemble(model, dt, n, master_seed, range(n_traces))

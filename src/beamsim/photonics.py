@@ -147,18 +147,8 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
                       ensemble_size=count)
 
 
-@dataclass(frozen=True)
-class PhotonCountRecord:
-    """Photon counts drawn window by window from a trace's flux."""
-
-    window_T: float
-    counts: np.ndarray
-    mean: float
-    fano: float
-
-
 def fano_factor(counts) -> float:
-    """Sample variance over sample mean of a count sequence."""
+    """Sample variance over sample mean of a count sequence (mean > 0)."""
     counts = np.asarray(counts, dtype=float)
     if counts.size < 2:
         raise DomainError("need at least 2 count windows")
@@ -168,13 +158,10 @@ def fano_factor(counts) -> float:
     return float(np.var(counts, ddof=1) / mean)
 
 
-def photon_counts(trace: FieldTrace, window_T: float,
-                  rng: np.random.Generator | None = None) -> PhotonCountRecord:
+def photon_counts(trace: FieldTrace, window_T: float) -> np.ndarray:
     """Partition the trace into windows and draw Poisson counts with per-window
-    mean equal to the trapezoidal integral of |alpha|^2.
-
-    With no explicit rng, a counting stream tied to the trace's seed and index
-    is used, so records are reproducible.
+    mean equal to the trapezoidal integral of |alpha|^2, from the trace's
+    counting stream trace_rng(master_seed, trace_index, _CHANNEL_COUNTS) alone.
     """
     if not (math.isfinite(window_T) and window_T >= trace.dt):
         raise ConfigurationError(f"window_T must be finite and >= dt, got {window_T!r}")
@@ -188,12 +175,7 @@ def photon_counts(trace: FieldTrace, window_T: float,
     idx = np.arange(n_windows + 1) * w
     cum = np.concatenate([[0.0], np.cumsum((intensity[1:] + intensity[:-1]) * (trace.dt / 2.0))])
     means = cum[idx[1:]] - cum[idx[:-1]]
-    if rng is None:
-        rng = trace_rng(trace.master_seed, trace.trace_index, _CHANNEL_COUNTS)
-    counts = rng.poisson(means)
-    mean = float(counts.mean())
-    fano = float(np.var(counts, ddof=1) / mean) if mean > 0 else 0.0
-    return PhotonCountRecord(window_T=window_T, counts=counts, mean=mean, fano=fano)
+    return trace_rng(trace.master_seed, trace.trace_index, _CHANNEL_COUNTS).poisson(means)
 
 
 def intensity_samples(traces: Iterable[FieldTrace], spacing: float,

@@ -25,9 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fieldgen import Ensemble, FieldTrace, _mode_grid, lorentzian
-
-TWO_PI = 2.0 * math.pi
+from .fieldgen import TWO_PI, Ensemble, FieldTrace, _mode_grid, lorentzian
 
 
 # ---------------------------------------------------------------------------

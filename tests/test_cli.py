@@ -102,6 +102,18 @@ class TestDomainAndGridErrors:
         assert f"{grid[0][2:]} must be finite and > 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "spectrum", "g2", "sweep", "qslb-demo"])
+    def test_duration_not_a_multiple_of_dt(self, tmp_path, capsys, command):
+        """20.005 s at dt = 0.01 s would be analysed as 20.0 s: exit 3, naming both."""
+        family = ("--family", "thermal") if command in ("simulate", "spectrum", "g2") else ()
+        out = tmp_path / "out"
+        assert run(command, *family, *self.MODEL, "--dt", "0.01", "--duration", "20.005",
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "--duration 20.005 not a multiple of --dt 0.01" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_sample_count_overflow(self, capsys):
         assert run("spectrum", "--family", "thermal", *self.MODEL, "--dt", "1e-300",
                    "--duration", "1e300") == 3

@@ -309,7 +309,6 @@ class TestFieldTrace:
         trace = generate_trace(LASER, 0.01, 2000, 1)
         assert trace.n_samples == 2000
         assert trace.duration == pytest.approx(20.0)
-        assert trace.times[1] - trace.times[0] == pytest.approx(0.01)
 
     def test_rejects_bad_samples(self):
         with pytest.raises(DomainError):

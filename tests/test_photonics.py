@@ -7,7 +7,14 @@ import pytest
 from scipy import stats
 
 from beamsim import ConfigurationError, DomainError
-from beamsim.fieldgen import BeamModelSpec, generate_ensemble, lorentzian
+from beamsim.fieldgen import (
+    _CHANNEL_COUNTS,
+    BeamModelSpec,
+    generate_ensemble,
+    generate_trace,
+    lorentzian,
+    trace_rng,
+)
 from beamsim.photonics import (
     FilterSpec,
     apply_filter,
@@ -131,29 +138,42 @@ class TestG2:
 class TestPhotonCounts:
     def test_laser_fano_is_one(self):
         trace = next(generate_ensemble(LASER, 0.01, 100000, 19, 1))
-        record = photon_counts(trace, window_T=1.0)
+        counts = photon_counts(trace, window_T=1.0)
         # Poisson(25) per window, 1000 windows
-        sigma = math.sqrt(2.0 / record.counts.size)
-        assert abs(record.fano - 1.0) < 3.0 * sigma + 0.02
-        assert record.mean == pytest.approx(25.0, rel=0.05)
+        sigma = math.sqrt(2.0 / counts.size)
+        assert abs(fano_factor(counts) - 1.0) < 3.0 * sigma + 0.02
+        assert counts.mean() == pytest.approx(25.0, rel=0.05)
 
-    def test_reproducible_without_explicit_rng(self):
+    def test_reproducible(self):
         trace = next(generate_ensemble(LASER, 0.01, 2000, 19, 1))
-        a = photon_counts(trace, window_T=1.0)
-        b = photon_counts(trace, window_T=1.0)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(photon_counts(trace, window_T=1.0),
+                              photon_counts(trace, window_T=1.0))
 
-    def test_explicit_rng_override(self):
-        trace = next(generate_ensemble(LASER, 0.01, 2000, 19, 1))
-        a = photon_counts(trace, window_T=1.0, rng=np.random.default_rng(1))
-        b = photon_counts(trace, window_T=1.0, rng=np.random.default_rng(2))
-        assert not np.array_equal(a.counts, b.counts)
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_drawn_from_the_counting_stream_alone(self, index):
+        # window means are the trapezoidal flux integrals; the counts are one
+        # Poisson draw per window from (seed, index, _CHANNEL_COUNTS)
+        trace = generate_trace(THERMAL, 0.01, 2001, 19, index)
+        flux = trace.intensity()
+        means = [np.trapezoid(flux[k:k + 51], dx=0.01) for k in range(0, 2000, 50)]
+        expected = trace_rng(19, index, _CHANNEL_COUNTS).poisson(means)
+        counts = photon_counts(trace, window_T=0.5)
+        assert counts.dtype == expected.dtype
+        np.testing.assert_array_equal(counts, expected)
+
+    @pytest.mark.parametrize("family", ["thermal", "laser"])
+    def test_dark_beam_counts_zeros_and_has_no_fano_factor(self, family):
+        dark = BeamModelSpec(family=family, nu=0.0, gamma=1.0)
+        counts = photon_counts(generate_trace(dark, 0.01, 2000, 1, 2), window_T=1.0)
+        assert counts.size == 19 and not counts.any()
+        with pytest.raises(DomainError, match="zero mean count"):
+            fano_factor(counts)
 
     def test_thermal_short_window_super_poissonian(self):
         # window much shorter than the coherence time: Fano ~ 1 + counts/window
         counts = []
         for trace in generate_ensemble(THERMAL, 0.01, 20000, 23, 20):
-            counts.append(photon_counts(trace, window_T=0.01).counts)
+            counts.append(photon_counts(trace, window_T=0.01))
         counts = np.concatenate(counts)
         fano = counts.var(ddof=1) / counts.mean()
         oracle = thermal_fano_oracle(25.0, 1.0, 0.01)  # ~1.25
@@ -165,7 +185,7 @@ class TestPhotonCounts:
         model = BeamModelSpec(family="thermal", nu=0.1, gamma=1.0)
         counts = []
         for trace in generate_ensemble(model, 0.01, 100000, 29, 50):
-            counts.append(photon_counts(trace, window_T=100.0).counts)
+            counts.append(photon_counts(trace, window_T=100.0))
         counts = np.concatenate(counts)
         fano = counts.var(ddof=1) / counts.mean()
         oracle = thermal_fano_oracle(0.025, 1.0, 100.0)  # ~1.05

@@ -1,6 +1,6 @@
 """Property tests: the chunk rule, .ftrc round trips and corrupt records,
-Parseval, the spectrum's linearity in nu, g2 of a constant-modulus beam and
-the grid rule, over generated inputs.
+Parseval, the spectrum's linearity in nu, g2 of a constant-modulus beam,
+filter composition and the grid rule, over generated inputs.
 
 Examples are derandomized and capped, so every run checks the same few
 dozen cases per property and tier-1 grows by seconds at most.
@@ -24,7 +24,7 @@ from beamsim.fieldgen import (
     generate_ensemble,
     generate_trace,
 )
-from beamsim.photonics import filtered_laser_sweep, g2
+from beamsim.photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
 from beamsim.spectral import _amplitude_transform, _power, spectrum
 from beamsim.traceio import trace_from_bytes, trace_to_bytes
 
@@ -138,6 +138,33 @@ def test_g2_of_constant_modulus_is_one(data, modulus, shape):
                            master_seed=0, trace_index=r) for r, p in enumerate(phases)]
     est = g2(ensemble, [lag * dt for lag in lags])
     np.testing.assert_allclose(est.values, 1.0, rtol=0, atol=1e-12)
+
+
+NYQUIST = math.pi / 0.01   # rad/s, at dt = 0.01
+filters = st.builds(FilterSpec, st.floats(-NYQUIST, NYQUIST),
+                    st.floats(0.0, NYQUIST, exclude_min=True, exclude_max=True,
+                              allow_subnormal=False))
+
+
+@PROPERTY
+@given(n=st.integers(16, 4096), seed=st.integers(0, 2**32), f=filters, g=filters)
+def test_filters_compose(n, seed, f, g):
+    """apply_filter by f then g equals g then f, and one pass with the product
+    response f*g, within 1e-12 of max|alpha|; and since |t| <= 1, filtering
+    never raises sum |alpha|^2."""
+    trace = generate_trace(BeamModelSpec(family="thermal", nu=100.0, gamma=1.0), 0.01, n, seed)
+    by_f, by_g = apply_filter(trace, f), apply_filter(trace, g)
+    fg = apply_filter(by_f, g).samples
+    gf = apply_filter(by_g, f).samples
+    once = np.fft.fft(np.fft.ifft(trace.samples) * f.response(0.01, n) * g.response(0.01, n))
+    tol = 1e-12 * np.abs(trace.samples).max()
+    assert np.abs(fg - gf).max() <= tol
+    assert np.abs(fg - once).max() <= tol
+    for h in (f, g):
+        assert np.abs(h.response(0.01, n)).max() <= 1.0 + 1e-15
+    power = np.sum(np.abs(trace.samples) ** 2)
+    for filtered in (by_f.samples, by_g.samples, fg):
+        assert np.sum(np.abs(filtered) ** 2) <= power * (1.0 + 1e-12)
 
 
 @PROPERTY

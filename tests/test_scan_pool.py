@@ -113,7 +113,7 @@ def family_estimates(family, n, start_index):
     model = BeamModelSpec(family=family, nu=100.0, gamma=1.0, **jitter)
 
     def traces():
-        return generate_ensemble(model, DT, n, SEED, 17, start_index=start_index)
+        return Ensemble(model, DT, n, SEED, range(start_index, start_index + 17))
 
     step = 2.0 * math.pi / (n * DT)
     spec = spectrum(traces())
@@ -297,7 +297,8 @@ def test_generation_error_raises_like_the_serial_scan(monkeypatch):
 
 
 def test_generate_ensemble_is_an_iterator():
-    traces = generate_ensemble(THERMAL, DT, N, SEED, 3, start_index=4)
+    assert [t.trace_index for t in generate_ensemble(THERMAL, DT, N, SEED, 3)] == [0, 1, 2]
+    traces = Ensemble(THERMAL, DT, N, SEED, range(4, 7))
     first = next(traces)
     assert first.trace_index == 4
     np.testing.assert_array_equal(first.samples,
@@ -310,7 +311,7 @@ def test_partly_consumed_ensemble_scans_the_rest():
     traces = generate_ensemble(THERMAL, DT, N, SEED, TRACES)
     next(traces)
     rest = spectrum(traces)
-    expected = spectrum(generate_ensemble(THERMAL, DT, N, SEED, TRACES - 1, start_index=1))
+    expected = spectrum(Ensemble(THERMAL, DT, N, SEED, range(1, TRACES)))
     assert rest.ensemble_size == TRACES - 1
     np.testing.assert_array_equal(rest.values, expected.values)
 
