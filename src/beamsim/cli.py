@@ -152,8 +152,10 @@ def _model_from_args(args: argparse.Namespace) -> BeamModelSpec:
     )
 
 
-def _grid_from_args(args: argparse.Namespace) -> tuple[float, int]:
-    _require(args, "dt", "duration")
+def _run_from_args(args: argparse.Namespace) -> tuple[float, int, int, int]:
+    """The one way into a generated run: (dt, n, seed, traces), with the
+    grid and the seed checked."""
+    _require(args, "dt", "duration", "seed", "traces")
     for name in ("dt", "duration"):
         value = getattr(args, name)
         if not (math.isfinite(value) and value > 0):
@@ -166,14 +168,9 @@ def _grid_from_args(args: argparse.Namespace) -> tuple[float, int]:
         raise ConfigurationError("duration must cover at least 2 samples")
     if abs(n * args.dt - args.duration) > 1e-6 * args.duration:
         raise ConfigurationError(f"--duration {args.duration!r} not a multiple of --dt {args.dt!r}")
-    return args.dt, n
-
-
-def _seed_from_args(args: argparse.Namespace) -> int:
-    _require(args, "seed")
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be a non-negative integer, got {args.seed}")
-    return args.seed
+    return args.dt, n, args.seed, args.traces
 
 
 def _stored_traces(in_dir: str):
@@ -200,10 +197,7 @@ def _ensemble_from_args(args: argparse.Namespace):
     if getattr(args, "in_dir", None):
         return _stored_traces(args.in_dir)
     model = _model_from_args(args)
-    dt, n = _grid_from_args(args)
-    seed = _seed_from_args(args)
-    _require(args, "traces")
-    return generate_ensemble(model, dt, n, seed, args.traces)
+    return generate_ensemble(model, *_run_from_args(args))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +235,10 @@ def cmd_blackbody(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
-    dt, n = _grid_from_args(args)
-    _require(args, "seed", "traces", "out")
+    run = _run_from_args(args)
+    _require(args, "out")
     # checks the trace count and the grid: nothing is written for a bad run
-    traces = generate_ensemble(model, dt, n, _seed_from_args(args), args.traces)
+    traces = generate_ensemble(model, *run)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     width = max(5, len(str(args.traces - 1)))
@@ -304,8 +298,8 @@ def cmd_g2(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _require(args, "nu", "gamma", "seed", "traces")
-    dt, n = _grid_from_args(args)
+    _require(args, "nu", "gamma")
+    run = _run_from_args(args)
     # the plain spec checks gamma before the jitter defaults divide by it
     model = BeamModelSpec(family="jittered_laser", nu=args.nu, gamma=args.gamma)
     model = dataclasses.replace(
@@ -314,8 +308,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jitter_corr_time=(args.jitter_corr_time if args.jitter_corr_time is not None
                           else 1.5 / model.gamma))
     fwhms = [float(x) * args.gamma for x in args.fwhms.split(",")]
-    rows = filtered_laser_sweep(model, fwhms, dt, n, _seed_from_args(args), args.traces,
-                                center_detuning=args.filter_center)
+    rows = filtered_laser_sweep(model, fwhms, *run, center_detuning=args.filter_center)
     payload = {"sweep": [{"fwhm": r.fwhm, "value": r.g2_zero, "std_error": r.std_error,
                           "ensemble_size": r.ensemble_size} for r in rows]}
     _emit(args, payload, ["fwhm", "value", "std_error", "ensemble_size"],
@@ -324,14 +317,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_qslb_demo(args: argparse.Namespace) -> int:
-    _require(args, "nu", "gamma", "seed", "traces")
-    dt, n = _grid_from_args(args)
-    seed = _seed_from_args(args)
+    _require(args, "nu", "gamma")
+    run = _run_from_args(args)
     _check_significance(args.significance)   # before any ensemble is generated
     families = ("thermal", "laser", "kspace_product")
     # every family's grid is checked before any ensemble is generated
-    ensembles = [generate_ensemble(BeamModelSpec(family=f, nu=args.nu, gamma=args.gamma),
-                                   dt, n, seed, args.traces) for f in families]
+    ensembles = [generate_ensemble(BeamModelSpec(family=f, nu=args.nu, gamma=args.gamma), *run)
+                 for f in families]
     _check_law_traces(args.traces)   # so is the periodogram-law test's trace count
     results = []
     for family, traces in zip(families, ensembles):

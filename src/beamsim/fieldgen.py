@@ -216,9 +216,6 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
         h = np.empty((k, n - 1))
         h0 = np.empty(k)
         for r, index in enumerate(indices):
-            if model.jitter_band * dt > 0.1:   # once per trace
-                warnings.warn(f"dt*jitter_band = {model.jitter_band * dt:.3g} > 0.1; "
-                              "jitter phase steps are coarse", stacklevel=4)
             jrng = trace_rng(master_seed, index, _CHANNEL_JITTER)
             jrng.standard_normal(out=h[r])
             h0[r] = jrng.standard_normal()
@@ -276,47 +273,25 @@ _GENERATORS = {
 }
 
 
-def _samples(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-             indices: range) -> np.ndarray:
-    """The grid check, then the family's samples function for `indices`."""
-    _check_grid(model, dt, n)
-    return _GENERATORS[model.family](model, dt, n, master_seed, indices)
-
-
-def generate_block(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                   indices: range) -> np.ndarray:
-    """The samples of traces `indices` (consecutive) on the grid (dt, n), as
-    the rows of a (len(indices), n) block, grid- and finite-checked.  Row r
-    equals generate_trace(model, dt, n, master_seed, indices[r]).samples."""
-    block = _samples(model, dt, n, master_seed, indices)
-    _check_finite(block)
-    return block
-
-
-def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                   trace_index: int = 0) -> FieldTrace:
-    """One trace of the model's family on the grid (dt, n): a block of one,
-    finite-checked once, by FieldTrace.  Its draws come only from
-    trace_rng(master_seed, trace_index, channel)."""
-    samples = _samples(model, dt, n, master_seed, range(trace_index, trace_index + 1))
-    return FieldTrace(samples=samples[0], dt=dt, model=model, master_seed=master_seed,
-                      trace_index=trace_index)
-
-
 class Ensemble:
     """Iterator over the traces `indices` of the model on the grid (dt, n),
-    in order, as generate_trace makes them.
+    in order: each is made as a block of one and finite-checked once, by
+    FieldTrace.  The grid is checked here, before any trace is made, and a
+    coarse jitter step (dt * jitter_band > 0.1) is warned about here, once.
 
     Each trace depends only on its index, so a consumer may instead take the
     indices not yet pulled (`take_rest`) and make them itself, on any thread
     and in any order, a range of consecutive indices at once with
-    `make_block`: the samples of those traces as the rows of one array (see
-    generate_block).
+    `make_block`.
     """
 
     def __init__(self, model: BeamModelSpec, dt: float, n: int, master_seed: int,
                  indices: range):
-        self._args = (model, dt, n, master_seed)
+        _check_grid(model, dt, n)
+        if model.jitter_band * dt > 0.1:   # named: generate_trace's or generate_ensemble's caller
+            warnings.warn(f"dt*jitter_band = {model.jitter_band * dt:.3g} > 0.1; "
+                          "jitter phase steps are coarse", stacklevel=3)
+        self.model, self.dt, self.n, self.master_seed = model, dt, n, master_seed
         self._rest = indices
 
     def __iter__(self) -> "Ensemble":
@@ -326,10 +301,19 @@ class Ensemble:
         if not self._rest:
             raise StopIteration
         index, self._rest = self._rest[0], self._rest[1:]
-        return generate_trace(*self._args, index)
+        samples = _GENERATORS[self.model.family](self.model, self.dt, self.n, self.master_seed,
+                                                 range(index, index + 1))
+        return FieldTrace(samples=samples[0], dt=self.dt, model=self.model,
+                          master_seed=self.master_seed, trace_index=index)
 
     def make_block(self, indices: range) -> np.ndarray:
-        return generate_block(*self._args, indices)
+        """The samples of traces `indices` (consecutive) as the rows of a
+        (len(indices), n) block, finite-checked; row r equals the samples of
+        trace indices[r] made alone."""
+        block = _GENERATORS[self.model.family](self.model, self.dt, self.n, self.master_seed,
+                                               indices)
+        _check_finite(block)
+        return block
 
     def take_rest(self) -> range:
         """The indices not yet pulled; the iterator is exhausted afterwards."""
@@ -337,12 +321,18 @@ class Ensemble:
         return rest
 
 
+def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
+                   trace_index: int = 0) -> FieldTrace:
+    """One trace of the model's family on the grid (dt, n): an Ensemble of
+    one.  Its draws come only from trace_rng(master_seed, trace_index, channel)."""
+    return next(Ensemble(model, dt, n, master_seed, range(trace_index, trace_index + 1)))
+
+
 def generate_ensemble(model: BeamModelSpec, dt: float, n: int, master_seed: int,
                       n_traces: int) -> Ensemble:
     """Lazily generate n_traces independent traces, trace indices 0 to
-    n_traces - 1.  The trace count and the grid are checked here, before any
-    trace is made."""
+    n_traces - 1.  The trace count and (by the Ensemble) the grid are checked
+    here, before any trace is made."""
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
-    _check_grid(model, dt, n)
     return Ensemble(model, dt, n, master_seed, range(n_traces))

@@ -34,8 +34,9 @@ class FilterSpec:
     fwhm: float              # rad/s
 
     def __post_init__(self):
-        if not (math.isfinite(self.fwhm) and self.fwhm > 0):
-            raise DomainError(f"fwhm must be finite and > 0, got {self.fwhm!r}")
+        # the response divides by fwhm/2: its reciprocal must be finite too
+        if not (0 < self.fwhm < math.inf and math.isfinite(2.0 / self.fwhm)):
+            raise DomainError(f"fwhm must be finite and > 0 with 2/fwhm finite, got {self.fwhm!r}")
         if not math.isfinite(self.center_detuning):
             raise DomainError("center_detuning must be finite")
 
@@ -111,10 +112,8 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
     method.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    lags = None
 
     def setup(dt: float, n: int):
-        nonlocal lags
         response = None if filt is None else filt.response(dt, n)
         if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
             raise DomainError("tau_grid values must be finite and >= 0")
@@ -143,8 +142,8 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
     dt, count, rows = _scan(traces, setup)
     estimates = [_ratio_estimate(x, rows[:, 0]) for x in rows[:, 1:].T]
     values, std_errors = np.array(estimates, dtype=float).reshape(-1, 2).T
-    return G2Estimate(tau=lags * dt, values=values, std_errors=std_errors,
-                      ensemble_size=count)
+    return G2Estimate(tau=np.rint(tau_grid / dt).astype(int) * dt, values=values,
+                      std_errors=std_errors, ensemble_size=count)
 
 
 def fano_factor(counts) -> float:
@@ -152,6 +151,8 @@ def fano_factor(counts) -> float:
     counts = np.asarray(counts, dtype=float)
     if counts.size < 2:
         raise DomainError("need at least 2 count windows")
+    if not (np.all(np.isfinite(counts)) and np.all(counts >= 0)):
+        raise DomainError("counts must be finite and >= 0")
     mean = counts.mean()
     if mean <= 0:
         raise DomainError("zero mean count; Fano factor undefined")
@@ -219,15 +220,14 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
         raise DomainError("need at least one filter fwhm")
     traces = generate_ensemble(model, dt, n, master_seed, n_traces)
     filters = [FilterSpec(center_detuning=center_detuning, fwhm=f) for f in fwhm_list]
-    burns = [max(f.suggested_burn_in(), 10.0 / model.gamma) for f in filters]
-    responses = []
-    for f, burn in zip(filters, burns):
-        responses.append(f.response(dt, n))
+    responses = []   # (amplitude response, burn-in samples) per filter
+    for f in filters:
+        response, burn = f.response(dt, n), max(f.suggested_burn_in(), 10.0 / model.gamma)
         if burn > 0.5 * n * dt:
             raise ConfigurationError(
                 f"trace too short for fwhm={f.fwhm:g}: burn-in {burn:g} exceeds half the duration"
             )
-    skips = [int(round(b / dt)) for b in burns]
+        responses.append((response, int(round(burn / dt))))
 
     def moments(branch):
         # time-mean intensity and time-mean squared intensity past the
@@ -246,7 +246,7 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
         # the trace and its modes are freed before the next trace is made
         modes = np.fft.ifft(trace.samples)
         # each product is allocated here, one branch at a time, as it is pulled
-        branches = ((modes * resp, skip) for resp, skip in zip(responses, skips))
+        branches = ((modes * response, skip) for response, skip in responses)
         return [m for pair in _ordered_map(moments, branches) for m in pair]
 
     rows = np.array(list(map(row, traces)))

@@ -307,6 +307,8 @@ def periodogram_distribution_test(values, significance: float = 1e-3) -> TestRep
     _check_significance(significance)
     values = np.asarray(values, dtype=float)
     _check_law_traces(values.size)
+    if not (np.all(np.isfinite(values)) and np.all(values >= 0)):
+        raise DomainError("periodogram values must be finite and >= 0")
     mean = float(values.mean())
     if mean <= 0:
         raise DomainError("degenerate (zero-power) bin")
@@ -431,6 +433,8 @@ def stationarity_test(W, significance: float = 1e-3, n_permutations: int = 4999,
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] < 4:
         raise DomainError("W must be a (traces, windows) matrix with >= 4 windows")
+    if not np.all(np.isfinite(W)):
+        raise DomainError("W must be finite")
     r, k = W.shape
     if r < 8:
         raise DomainError("need at least 8 traces")

@@ -101,6 +101,6 @@ def sample_photon_count(state: SingleModeState, rng: np.random.Generator, size=N
     if state.kind == "thermal":
         # geometric on {0, 1, ...} with success prob 1/(1+nbar)
         if m == 0:
-            return np.zeros(size or (), dtype=np.int64) if size else 0
+            return 0 if size is None else np.zeros(size, dtype=np.int64)
         return rng.geometric(1.0 / (1.0 + m), size) - 1
     return rng.poisson(m, size)

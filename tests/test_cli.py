@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import contextlib
 import functools
 import json
 import os
@@ -199,8 +200,11 @@ class TestDomainAndGridErrors:
                             dict.fromkeys(fieldgen.FAMILIES, out_of_memory))
         extra = {"sweep": ("--fwhms", "10"), "qslb-demo": ()}.get(command,
                                                                   ("--family", "thermal"))
-        assert run(command, *extra, "--nu", "100", "--gamma", "1", "--traces", "1000",
-                   "--seed", "1", "--dt", "0.01", "--duration", "20") == 3
+        # the sweep's default jitter band, 100*gamma, is coarse at this dt
+        with (pytest.warns(UserWarning, match="jitter phase steps are coarse")
+              if command == "sweep" else contextlib.nullcontext()):
+            assert run(command, *extra, "--nu", "100", "--gamma", "1", "--traces", "1000",
+                       "--seed", "1", "--dt", "0.01", "--duration", "20") == 3
         err = capsys.readouterr().err
         assert "out of memory for the grid --dt 0.01 --duration 20.0 --traces 1000" in err
         assert "Traceback" not in err
@@ -410,6 +414,15 @@ class TestG2Command:
         err = capsys.readouterr().err
         assert "--filter-center needs --filter-fwhm" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fwhm", ["5e-324", "1e-320"])
+    def test_subnormal_filter_fwhm_exit_code(self, capsys, fwhm):
+        assert run("g2", "--family", "laser", "--nu", "100", "--gamma", "1",
+                   "--dt", "0.01", "--duration", "20", "--traces", "2", "--seed", "1",
+                   "--filter-fwhm", fwhm, "--burn-in", "0") == 3
+        captured = capsys.readouterr()
+        assert "fwhm must be finite and > 0 with 2/fwhm finite" in captured.err
+        assert "nan" not in captured.out
 
     @pytest.mark.parametrize("taus", ["0,-0.01", "0,nan"])
     def test_negative_or_nan_tau_exit_code(self, capsys, taus):

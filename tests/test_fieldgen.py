@@ -8,11 +8,11 @@ import pytest
 from beamsim import ConfigurationError, DomainError, fieldgen
 from beamsim.fieldgen import (
     BeamModelSpec,
+    Ensemble,
     FieldTrace,
     FAMILIES,
     _GENERATORS,
     _ou_step_coefficients,
-    generate_block,
     generate_ensemble,
     generate_trace,
     lorentzian,
@@ -121,7 +121,8 @@ class TestBlocks:
         short), equal the traces made one at a time, bit for bit."""
         model, dt, n = BLOCK_CASES[case]
         indices = range(4, 21)
-        rows = np.concatenate([generate_block(model, dt, n, 9, indices[i:i + size])
+        traces = Ensemble(model, dt, n, 9, indices)
+        rows = np.concatenate([traces.make_block(indices[i:i + size])
                                for i in range(0, len(indices), size)])
         assert rows.shape == (len(indices), n)
         for row, index in zip(rows, indices):
@@ -129,12 +130,12 @@ class TestBlocks:
 
     def test_block_checks_grid_and_finiteness(self):
         with pytest.raises(ConfigurationError):
-            generate_block(THERMAL, 0.1, 2000, 9, range(3))
+            Ensemble(THERMAL, 0.1, 2000, 9, range(3)).make_block(range(3))
         with pytest.raises(ConfigurationError):
-            generate_block(KSPACE, 0.01, 500, 9, range(3))
+            Ensemble(KSPACE, 0.01, 500, 9, range(3)).make_block(range(3))
         inf = BeamModelSpec(family="thermal", nu=1e308, gamma=1e3)
         with pytest.raises(DomainError, match="non-finite"):
-            generate_block(inf, 1e-5, 100, 9, range(3))
+            Ensemble(inf, 1e-5, 100, 9, range(3)).make_block(range(3))
 
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
     def test_one_finite_check_per_trace_and_per_block(self, monkeypatch, case):
@@ -145,7 +146,7 @@ class TestBlocks:
                             lambda samples: checked.append(samples.shape) or check(samples))
         generate_trace(model, dt, n, 9, 4)
         assert checked == [(n,)]
-        generate_block(model, dt, n, 9, range(3))
+        Ensemble(model, dt, n, 9, range(3)).make_block(range(3))
         assert checked == [(n,), (3, n)]
         inf = BeamModelSpec(family="thermal", nu=1e308, gamma=1e3)
         with pytest.raises(DomainError, match="non-finite"):
@@ -155,13 +156,32 @@ class TestBlocks:
         with pytest.raises(ConfigurationError):
             generate_ensemble(THERMAL, 0.1, 2000, 9, 3)
 
+    @pytest.mark.parametrize("model, dt", [(THERMAL, 0.1), (KSPACE, 0.01)],
+                             ids=["thermal-coarse-dt", "kspace_product-short-duration"])
+    def test_ensemble_built_directly_checks_its_grid_at_construction(self, monkeypatch,
+                                                                     model, dt):
+        def no_draws(*args):
+            raise AssertionError("a trace was drawn before the grid was checked")
+
+        monkeypatch.setattr(fieldgen, "trace_rng", no_draws)
+        with pytest.raises(ConfigurationError):
+            Ensemble(model, dt, 500, 9, range(3))
+
+    def test_one_grid_check_per_ensemble(self, monkeypatch):
+        calls = []
+        check = fieldgen._check_grid
+        monkeypatch.setattr(fieldgen, "_check_grid",
+                            lambda *args: calls.append(args) or check(*args))
+        spectrum(generate_ensemble(THERMAL, 0.01, 2000, 9, 40))
+        assert calls == [(THERMAL, 0.01, 2000)]
+
     @pytest.mark.parametrize("model", [KSPACE, PERIODIC], ids=lambda m: m.family)
     def test_mode_families_reject_a_coarse_dt_as_thermal_does(self, model):
         """At dt = 0.02/gamma a mode family would cut its Lorentzian off at
         Nyquist; the one grid rule rejects it with thermal's message."""
         with pytest.raises(ConfigurationError) as thermal:
             generate_ensemble(THERMAL, 0.02, 20000, 9, 3)
-        for make in (generate_ensemble, generate_block):
+        for make in (generate_ensemble, Ensemble):
             with pytest.raises(ConfigurationError) as mode:
                 make(model, 0.02, 20000, 9, 3 if make is generate_ensemble else range(3))
             assert str(mode.value) == str(thermal.value)

@@ -79,6 +79,16 @@ class TestFilter:
         with pytest.raises(ConfigurationError):
             apply_filter(trace, FilterSpec(0.0, 1000.0))  # pi/dt ~ 314
 
+    @pytest.mark.parametrize("fwhm", [5e-324, 1e-320, 1.112e-308])
+    def test_rejects_a_fwhm_whose_half_has_no_finite_reciprocal(self, fwhm):
+        """At 5e-324 fwhm/2 rounds to 0.0 and the response would be 0/0 at
+        the center; up to 2/fwhm = inf it would be inf + nan*j there."""
+        with pytest.raises(DomainError, match="2/fwhm finite"):
+            FilterSpec(0.0, fwhm)
+
+    def test_smallest_accepted_fwhm_has_a_finite_response(self):
+        assert np.all(np.isfinite(FilterSpec(0.0, 1.1126e-308).response(0.01, 16)))
+
     def test_one_resolvability_check(self):
         """apply_filter, filtered g2 and the sweep reject a too-wide filter
         with one message."""
@@ -217,6 +227,11 @@ class TestFanoFactor:
             fano_factor([5])
         with pytest.raises(DomainError):
             fano_factor([0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1])
+    def test_rejects_non_finite_or_negative_counts(self, bad):
+        with pytest.raises(DomainError, match="counts must be finite and >= 0"):
+            fano_factor([3, 5, bad, 4])
 
 
 class TestIntensitySamples:

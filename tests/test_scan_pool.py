@@ -316,12 +316,16 @@ def test_partly_consumed_ensemble_scans_the_rest():
     np.testing.assert_array_equal(rest.values, expected.values)
 
 
-def test_coarse_jitter_warning_from_every_trace():
+def test_coarse_jitter_warning_once_per_ensemble_at_the_caller():
     model = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
                           jitter_band=20.0, jitter_corr_time=1.5)
-    with pytest.warns(UserWarning, match="jitter phase steps are coarse") as record:
-        spectrum(generate_ensemble(model, DT, N, SEED, TRACES))
-    assert len(record) == TRACES
+    for make in (lambda: generate_trace(model, DT, N, SEED),
+                 lambda: list(generate_ensemble(model, DT, N, SEED, TRACES)),
+                 lambda: spectrum(generate_ensemble(model, DT, N, SEED, TRACES))):
+        with pytest.warns(UserWarning, match="jitter phase steps are coarse") as record:
+            make()
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
 
 SWEEP_N = 2 * N

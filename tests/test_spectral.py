@@ -8,6 +8,7 @@ import pytest
 from beamsim import DomainError
 from beamsim.fieldgen import (
     BeamModelSpec,
+    Ensemble,
     FieldTrace,
     generate_ensemble,
     lorentzian,
@@ -96,6 +97,12 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             spectrum(generate_ensemble(THERMAL, 0.01, 2000, 1, 1))
 
+    @pytest.mark.parametrize("empty", ["list", "ensemble"])
+    def test_empty_ensemble_rejected(self, empty):
+        traces = [] if empty == "list" else Ensemble(THERMAL, 0.01, 2000, 1, range(0))
+        with pytest.raises(DomainError, match="empty ensemble"):
+            spectrum(traces)
+
     def test_heterogeneous_grids_rejected(self):
         a = next(generate_ensemble(THERMAL, 0.01, 2000, 1, 1))
         b = next(generate_ensemble(THERMAL, 0.01, 4000, 1, 1))
@@ -145,6 +152,13 @@ class TestPeriodogramDistribution:
         values = np.random.default_rng(2).exponential(size=1000)
         with pytest.raises(DomainError, match="significance"):
             periodogram_distribution_test(values, significance=significance)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_values(self, bad):
+        values = np.random.default_rng(2).exponential(size=1000)
+        values[17] = bad
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            periodogram_distribution_test(values)
 
     def test_requires_1000_traces(self):
         with pytest.raises(DomainError):
@@ -273,6 +287,13 @@ class TestStationarity:
         with pytest.raises(DomainError):
             stationarity_test(windowed_mean_intensities(
                 generate_ensemble(THERMAL, 0.01, 2000, 1, 4), n_windows=8))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_window_matrix(self, bad):
+        W = np.random.default_rng(2).random((20, 8))
+        W[3, 5] = bad
+        with pytest.raises(DomainError, match="W must be finite"):
+            stationarity_test(W)
 
     def test_window_matrix_needs_four_windows(self):
         with pytest.raises(DomainError):

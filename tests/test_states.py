@@ -139,6 +139,12 @@ class TestPhotonCountSampling:
         counts = sample_photon_count(SingleModeState("thermal", 0.0), rng(), size=100)
         assert np.all(counts == 0)
 
+    @pytest.mark.parametrize("mean", [0.0, 2.0])
+    @pytest.mark.parametrize("kind", ["thermal", "laser"])
+    def test_size_zero_gives_an_empty_array(self, kind, mean):
+        counts = sample_photon_count(SingleModeState(kind, mean), rng(), size=0)
+        assert isinstance(counts, np.ndarray) and counts.shape == (0,)
+
     def test_counts_match_pmf_moments(self):
         n = 10**6
         for kind in ("thermal", "laser"):
