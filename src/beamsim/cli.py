@@ -342,8 +342,10 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
     columns = ["family", "stationarity_p", "stationarity_passed",
                "periodogram_p", "periodogram_passed", "verdict"]
     _emit(args, payload, columns, [[r[c] for c in columns] for r in results])
+    # JSON on stdout is the document alone: the verdict table goes to stderr then
+    summary = sys.stderr if args.format == "json" and not args.out else sys.stdout
     for r in results:
-        print(f"{r['family']:<16} {r['verdict']}")
+        print(f"{r['family']:<16} {r['verdict']}", file=summary)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ periodic_thermal independent complex-Gaussian frequency modes (exactly periodic)
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -288,9 +289,12 @@ class Ensemble:
     def __init__(self, model: BeamModelSpec, dt: float, n: int, master_seed: int,
                  indices: range):
         _check_grid(model, dt, n)
-        if model.jitter_band * dt > 0.1:   # named: generate_trace's or generate_ensemble's caller
+        if model.jitter_band * dt > 0.1:
+            level = 2   # the first frame outside this module: the line that built the ensemble
+            while sys._getframe(level - 1).f_globals["__name__"] == __name__:
+                level += 1
             warnings.warn(f"dt*jitter_band = {model.jitter_band * dt:.3g} > 0.1; "
-                          "jitter phase steps are coarse", stacklevel=3)
+                          "jitter phase steps are coarse", stacklevel=level)
         self.model, self.dt, self.n, self.master_seed = model, dt, n, master_seed
         self._rest = indices
 

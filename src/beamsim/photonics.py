@@ -117,12 +117,14 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
         response = None if filt is None else filt.response(dt, n)
         if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
             raise DomainError("tau_grid values must be finite and >= 0")
-        lags = np.rint(tau_grid / dt).astype(int)
+        skip = _burn_in_samples(dt, n, burn_in)
+        with np.errstate(over="ignore"):   # checked in float: a huge tau would overflow an int
+            steps = np.rint(tau_grid / dt)
+        if np.max(steps, initial=0) >= n - skip:
+            raise DomainError("tau exceeds the analysable trace length")
+        lags = steps.astype(int)
         if np.any(np.abs(lags * dt - tau_grid) > 1e-6 * max(dt, float(np.max(tau_grid, initial=dt)))):
             raise DomainError("tau_grid values must be multiples of dt")
-        skip = _burn_in_samples(dt, n, burn_in)
-        if np.max(lags, initial=0) >= n - skip:
-            raise DomainError("tau exceeds the analysable trace length")
 
         def row(block):
             if response is not None:   # filter the block in the buffer of its modes

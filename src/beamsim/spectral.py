@@ -53,7 +53,7 @@ class CorrelationEstimate:
 
     pairs: list          # [(k_detuning, kprime_detuning), ...]
     values: np.ndarray   # complex
-    std_errors: np.ndarray
+    std_errors: np.ndarray   # complex: of the real and of the imaginary part
     ensemble_size: int
 
 
@@ -117,10 +117,10 @@ def _amplitude_transform(samples: np.ndarray, dt: float, bins=slice(None)) -> np
     return u
 
 
-def _power(samples: np.ndarray, dt: float, bins=slice(None)) -> np.ndarray:
-    """Single-shot periodogram |u~|^2 of each trace at DFT bins `bins` (all
-    by default) in numpy fft ordering."""
-    u = _amplitude_transform(samples, dt, bins)
+def _power(samples: np.ndarray, dt: float) -> np.ndarray:
+    """Single-shot periodogram |u~|^2 of each trace at every DFT bin, in
+    numpy fft ordering."""
+    u = _amplitude_transform(samples, dt)
     return u.real**2 + u.imag**2
 
 
@@ -154,7 +154,9 @@ RowSetup = Callable[[float, int], Callable[[np.ndarray], np.ndarray]]
 # Rows are computed on one shared thread pool of one worker per usable core:
 # the normal draws, lfilter, the FFTs and large ufuncs release the GIL.
 # Results are consumed in trace order, so no output depends on the count.
-_WORKERS = len(os.sched_getaffinity(0))
+# Without sched_getaffinity (macOS, Windows) every core counts as usable.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 # A block of traces holds at most this many bytes of complex128 samples.
 # Blocks of 6 to 13 traces of 5000 samples reduced about equally fast on 2
 # cores.  Smaller blocks add less to the peak memory: glibc raises its mmap
@@ -280,16 +282,30 @@ def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
     return _sorted_estimate(dt, mean, np.sqrt(var / count), count)
 
 
-def _bin_power(detuning: float) -> RowSetup:
+def _pair_products(pairs: Sequence[tuple[float, float]]) -> RowSetup:
+    """Row setup of u~(k) u~*(k') of each trace for each detuning pair: the
+    one rule that turns DFT bins into per-trace numbers.  A diagonal pair
+    (d, d) holds the bin's power |u~(d)|^2 in its real part, bit for bit
+    (re re - im (-im) is re^2 + im^2), and an exact zero imaginary part."""
     def setup(dt: float, n: int):
-        b = _fft_bin(dt, n, detuning)
-        return functools.partial(_power, dt=dt, bins=slice(b, b + 1))
+        bins = [_fft_bin(dt, n, k) for pair in pairs for k in pair]
+
+        def row(block):
+            u = _amplitude_transform(block, dt, bins)
+            a, b = u[:, 0::2], np.conj(u[:, 1::2])
+            # in real arithmetic, rounded as the product of two complex
+            # scalars is: numpy's complex array product may fuse multiply-adds
+            products = np.empty(a.shape, np.complex128)
+            products.real = a.real * b.real - a.imag * b.imag
+            products.imag = a.real * b.imag + a.imag * b.real
+            return products
+        return row
     return setup
 
 
 def periodogram_bin_values(traces: Iterable[FieldTrace], detuning: float) -> np.ndarray:
     """Single-shot periodogram value at one detuning bin, per trace."""
-    return _scan(traces, _bin_power(detuning))[2][:, 0]
+    return _scan(traces, _pair_products([(detuning, detuning)]))[2][:, 0].real.copy()
 
 
 def _check_law_traces(count: int) -> None:
@@ -320,31 +336,15 @@ def periodogram_distribution_test(values, significance: float = 1e-3) -> TestRep
 
 def cross_mode_correlation(traces: Iterable[FieldTrace],
                            pairs: Sequence[tuple[float, float]]) -> CorrelationEstimate:
-    """Ensemble mean of u~(k) u~*(k') for each detuning pair, with standard errors."""
+    """Ensemble mean of u~(k) u~*(k') for each detuning pair, with complex
+    standard errors: sigma_re / sqrt(N) + i sigma_im / sqrt(N)."""
     if not pairs:
         raise DomainError("need at least one detuning pair")
-
-    def setup(dt: float, n: int):
-        bins = [_fft_bin(dt, n, k) for pair in pairs for k in pair]
-
-        def row(block):
-            u = _amplitude_transform(block, dt, bins)
-            a, b = u[:, 0::2], np.conj(u[:, 1::2])
-            # u~(k) u~*(k') in real arithmetic, rounded as the product of two
-            # complex scalars is: numpy's complex array product may fuse
-            # multiply-adds
-            products = np.empty(a.shape, np.complex128)
-            products.real = a.real * b.real - a.imag * b.imag
-            products.imag = a.real * b.imag + a.imag * b.real
-            return products
-        return row
-
-    _, count, products = _scan(traces, setup, least=2)
+    _, count, products = _scan(traces, _pair_products(pairs), least=2)
+    root = math.sqrt(count)
     values = np.array([np.mean(p) for p in products.T])
-    std_errors = np.array([
-        math.sqrt((np.var(np.real(p), ddof=1) + np.var(np.imag(p), ddof=1)) / count)
-        for p in products.T
-    ])
+    std_errors = np.array([complex(np.std(p.real, ddof=1) / root, np.std(p.imag, ddof=1) / root)
+                           for p in products.T])
     return CorrelationEstimate(pairs=list(pairs), values=values,
                                std_errors=std_errors, ensemble_size=count)
 
@@ -393,11 +393,11 @@ def windowed_means_and_carrier_powers(traces: Iterable[FieldTrace],
                                       n_windows: int) -> tuple[np.ndarray, np.ndarray]:
     """windowed_mean_intensities(traces, n_windows) and
     periodogram_bin_values(traces, 0.0) from a single pass over the ensemble."""
-    windows, carrier = _window_means(n_windows), _bin_power(0.0)
+    windows, carrier = _window_means(n_windows), _pair_products([(0.0, 0.0)])
 
     def setup(dt: float, n: int):
         window_row, carrier_row = windows(dt, n), carrier(dt, n)
-        return lambda block: np.concatenate([window_row(block), carrier_row(block)], axis=1)
+        return lambda block: np.concatenate([window_row(block), carrier_row(block).real], axis=1)
 
     rows = _scan(traces, setup)[2]
     return np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
@@ -410,8 +410,8 @@ def _anova_f(W: np.ndarray) -> float:
     grand = W.mean()
     ss_between = r * np.sum((col_means - grand) ** 2)
     ss_within = np.sum((W - col_means) ** 2)
-    if ss_within <= 0:
-        return 0.0
+    if ss_within <= 0:   # every trace the same: a deterministic shape, if not flat
+        return math.inf if ss_between > 0 else 0.0
     return (ss_between / (k - 1)) / (ss_within / (k * (r - 1)))
 
 

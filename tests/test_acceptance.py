@@ -18,9 +18,9 @@ from beamsim.fieldgen import BeamModelSpec, generate_ensemble, trace_rng
 from beamsim.fieldgen import _ou_step_coefficients
 from beamsim.photonics import FilterSpec, filtered_laser_sweep, g2
 from beamsim.spectral import (
-    _amplitude_transform,
-    _scan,
+    cross_mode_correlation,
     estimate_fwhm,
+    periodogram,
     periodogram_bin_values,
     periodogram_distribution_test,
     predicted_cross_mode_correlation,
@@ -168,42 +168,27 @@ def test_criterion_6_finite_record_correction():
     # diagonal deficit nu - E|u~(0)|^2 versus 1/T: slope should be 2 nu / Gamma
     plans = [(2500, 30000), (5000, 20000), (10000, 10000), (20000, 10000)]
     xs, ys, ws = [], [], []
-    cross_vals = None
     for n, n_traces in plans:
         duration = n * dt
+        pairs = [(0.0, 0.0)]
         if n == 5000:
-            # single pass collecting both the peak bin and the off-diagonal pair
-            def peak_and_cross(dt, n):
-                def row(block):
-                    u = _amplitude_transform(block, dt)
-                    return np.column_stack([np.abs(u[:, 0]) ** 2, u[:, 0] * np.conj(u[:, 4])])
-                return row
-
-            rows = _scan(generate_ensemble(model, dt, n, 61, n_traces), peak_and_cross)[2]
-            values = rows[:, 0].real
-            cross_vals = rows[:, 1]
-            off_duration = duration
-        else:
-            values = periodogram_bin_values(
-                generate_ensemble(model, dt, n, 61, n_traces), detuning=0.0)
-        deficit = nu - values.mean()
-        sigma = values.std(ddof=1) / math.sqrt(values.size)
+            # the same pass takes the off-diagonal pair (0, ~Gamma/2) on the T=50 grid
+            off_duration, kp = duration, 4 * TWO_PI / duration
+            pairs.append((0.0, kp))
+        est = cross_mode_correlation(generate_ensemble(model, dt, n, 61, n_traces), pairs)
+        if n == 5000:
+            mean_cross, err = est.values[1], est.std_errors[1]
         xs.append(1.0 / duration)
-        ys.append(deficit)
-        ws.append(1.0 / sigma**2)
+        ys.append(nu - est.values[0].real)
+        ws.append(1.0 / est.std_errors[0].real ** 2)
     xs, ys, ws = np.asarray(xs), np.asarray(ys), np.asarray(ws)
     slope = np.sum(ws * xs * ys) / np.sum(ws * xs * xs)
     target = 2.0 * nu / gamma
     assert abs(slope - target) <= 0.2 * target
 
-    # off-diagonal correlation at detunings (0, ~Gamma/2) on the T=50 grid
-    kp = 4 * TWO_PI / off_duration
     predicted = predicted_cross_mode_correlation(nu, gamma, off_duration, 0.0, kp)
-    mean_cross = cross_vals.mean()
-    err_re = cross_vals.real.std(ddof=1) / math.sqrt(cross_vals.size)
-    err_im = cross_vals.imag.std(ddof=1) / math.sqrt(cross_vals.size)
-    assert abs(mean_cross.real - predicted.real) < 3.0 * err_re
-    assert abs(mean_cross.imag) < 3.0 * err_im
+    assert abs(mean_cross.real - predicted.real) < 3.0 * err.real
+    assert abs(mean_cross.imag) < 3.0 * err.imag
 
     report(6, f"deficit slope {slope:.1f} (target {target:g} +-20%); "
               f"off-diagonal {mean_cross.real:.3f}{mean_cross.imag:+.3f}i vs "
@@ -273,8 +258,7 @@ def test_criterion_8_property_suites(tmp_path):
     # Parseval to 1e-10
     trace = next(generate_ensemble(
         BeamModelSpec(family="thermal", nu=100.0, gamma=1.0), 0.01, 20000, 84, 1))
-    u = _amplitude_transform(trace.samples, trace.dt)
-    lhs = float(np.sum(np.abs(u) ** 2)) * (TWO_PI / trace.duration) / TWO_PI
+    lhs = float(np.sum(periodogram(trace).values)) * (TWO_PI / trace.duration) / TWO_PI
     rhs = float(np.sum(trace.intensity())) * trace.dt / trace.duration
     assert abs(lhs - rhs) < 1e-10 * rhs
 

@@ -21,6 +21,9 @@ from beamsim.spectral import spectrum, stationarity_test
 from beamsim.traceio import read_trace
 
 
+SRC = Path(cli.__file__).parents[1]
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -114,6 +117,11 @@ class TestDomainAndGridErrors:
         assert "--duration 20.005 not a multiple of --dt 0.01" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_duration_under_two_samples(self, capsys):
+        assert run("spectrum", "--family", "thermal", *self.MODEL, "--dt", "0.01",
+                   "--duration", "0.01") == 3
+        assert "duration must cover at least 2 samples" in capsys.readouterr().err
 
     def test_sample_count_overflow(self, capsys):
         assert run("spectrum", "--family", "thermal", *self.MODEL, "--dt", "1e-300",
@@ -431,6 +439,17 @@ class TestG2Command:
                    "--seed", "3", "--taus", taus) == 3
         assert "finite and >= 0" in capsys.readouterr().err
 
+    def test_huge_tau_exit_code_without_a_numpy_warning(self):
+        """The lags are checked against the trace in float, before the cast
+        to int, so numpy has nothing to warn about."""
+        result = subprocess.run(
+            [sys.executable, "-m", "beamsim.cli", "g2", "--family", "thermal", "--nu", "100",
+             "--gamma", "1", "--dt", "0.01", "--duration", "20", "--traces", "2",
+             "--seed", "3", "--taus", "0,1e300"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert result.returncode == 3
+        assert result.stderr == "error: tau exceeds the analysable trace length\n"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
@@ -529,11 +548,26 @@ def test_config_file_gives_the_bytes_of_its_flags(ways, picks):
 def test_importing_the_cli_leaves_scipy_signal_unloaded():
     """scipy.signal, most of a second of import time, loads on the first
     trace that needs lfilter."""
-    src = Path(cli.__file__).parents[1]
     code = "import sys, beamsim.cli; print('scipy.signal' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+                            check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert result.stdout == "False\n"
+
+
+def test_runs_without_sched_getaffinity(capsys):
+    """Where os.sched_getaffinity does not exist (macOS), the pool has one
+    worker per core of os.cpu_count(), and a spectrum gives the same bytes."""
+    argv = ["spectrum", "--family", "thermal", "--nu", "100", "--gamma", "1", "--dt", "0.01",
+            "--duration", "0.64", "--traces", "3", "--seed", "5"]
+    code = ("import os, sys; del os.sched_getaffinity\n"
+            "from beamsim import cli, spectral\n"
+            "assert spectral._WORKERS == (os.cpu_count() or 1)\n"
+            "raise SystemExit(cli.main(sys.argv[1:]))")
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (result.returncode, result.stderr) == (0, "")
+    assert run(*argv) == 0
+    assert result.stdout == capsys.readouterr().out
 
 
 class TestSweepCommand:

@@ -56,6 +56,12 @@ class TestModelSpec:
         # zero band is the allowed degenerate case
         BeamModelSpec(family="jittered_laser", nu=1.0, gamma=1.0, jitter_band=0.0)
 
+    @pytest.mark.parametrize("band", [-1.0, math.inf])
+    def test_rejects_a_negative_or_infinite_jitter_band(self, band):
+        with pytest.raises(DomainError, match="jitter_band must be finite and >= 0"):
+            BeamModelSpec(family="jittered_laser", nu=1.0, gamma=1.0,
+                          jitter_band=band, jitter_corr_time=10.0)
+
     @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "jittered_laser"])
     @pytest.mark.parametrize("jitter", [{"jitter_band": 5.0}, {"jitter_corr_time": 3.0},
                                         {"jitter_band": math.nan}])

@@ -3,7 +3,8 @@
 Each case runs at a tiny size and its text is compared with a fixture under
 ``tests/golden/``: everything outside numbers must match exactly and every
 number to a relative 1e-12.  The fixtures pin the CSV (stdout and ``--out``)
-and JSON bytes across refactors of the reduction and output code.
+and JSON bytes across refactors of the reduction and output code; JSON to
+stdout must equal the JSON fixture.
 
 ``traces`` pins the first and last four samples of one trace of every
 generator family at a fixed seed and trace index.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -52,6 +54,7 @@ FORMATS = {
     "csv-stdout": (),
     "csv-out": ("--out", "{out}"),
     "json": ("--format", "json", "--out", "{out}"),
+    "json-stdout": ("--format", "json"),   # must give the json fixture's text
 }
 SIMULATE = ("simulate", "--family", "thermal", *_MODEL, "--dt", "0.01",
             "--duration", "0.32", "--traces", "3", "--out", "{store}")
@@ -59,13 +62,13 @@ SIMULATE = ("simulate", "--family", "thermal", *_MODEL, "--dt", "0.01",
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
-def _run(argv, tmp: Path) -> str:
-    """Run the CLI in-process; return its stdout."""
+def _run(argv, tmp: Path) -> tuple[str, str]:
+    """Run the CLI in-process; return its stdout and its stderr."""
     argv = [a.format(store=tmp / "store", out=tmp / "out") for a in argv]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         assert cli.main(argv) == 0
-    return stdout.getvalue()
+    return stdout.getvalue(), stderr.getvalue()
 
 
 def _mask(text: str, tmp: Path) -> str:
@@ -73,11 +76,12 @@ def _mask(text: str, tmp: Path) -> str:
 
 
 def render(case: str, tmp: Path, monkeypatch) -> str:
-    """The text a case produces: stdout, or the --out file when there is one."""
+    """The text a case produces: stderr, stdout, then the --out file when
+    there is one."""
     monkeypatch.setattr(cli, "stationarity_test",
                         functools.partial(stationarity_test, n_permutations=N_PERMUTATIONS))
     if case == "simulate":
-        text = _run(SIMULATE, tmp) + (tmp / "store" / "run.json").read_text()
+        text = _run(SIMULATE, tmp)[0] + (tmp / "store" / "run.json").read_text()
         return _mask(text, tmp)
     if case == "traces":
         lines = ["family,sample,re,im"]
@@ -92,8 +96,11 @@ def render(case: str, tmp: Path, monkeypatch) -> str:
     command, fmt = case.rsplit(".", 1)
     if command == "spectrum-in":
         _run(SIMULATE, tmp)
-    text = _run(COMMANDS[command] + FORMATS[fmt], tmp)
-    if fmt != "csv-stdout":
+    out, err = _run(COMMANDS[command] + FORMATS[fmt], tmp)
+    if fmt == "json-stdout":
+        json.loads(out)   # stdout holds the JSON document alone
+    text = err + out   # a summary that would break the JSON goes to stderr, first
+    if "--out" in FORMATS[fmt]:
         text = text + (tmp / "out").read_text()
     return _mask(text, tmp)
 
@@ -108,17 +115,20 @@ def assert_same_text(actual: str, expected: str) -> None:
         assert float(got) == pytest.approx(float(want), rel=1e-12, nan_ok=True), (got, want)
 
 
+def fixture(case: str) -> Path:
+    return GOLDEN / f"{case.replace('.json-stdout', '.json')}.txt"
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_golden_output(case, tmp_path, monkeypatch):
-    expected = (GOLDEN / f"{case}.txt").read_text()
-    assert_same_text(render(case, tmp_path, monkeypatch), expected)
+    assert_same_text(render(case, tmp_path, monkeypatch), fixture(case).read_text())
 
 
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
+    for case in (c for c in CASES if not c.endswith(".json-stdout")):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             (GOLDEN / f"{case}.txt").write_text(render(case, Path(tmp), mp))
         print(f"wrote {case}", file=sys.stderr)

@@ -86,6 +86,11 @@ class TestFilter:
         with pytest.raises(DomainError, match="2/fwhm finite"):
             FilterSpec(0.0, fwhm)
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_center(self, center):
+        with pytest.raises(DomainError, match="center_detuning must be finite"):
+            FilterSpec(center, 1.0)
+
     def test_smallest_accepted_fwhm_has_a_finite_response(self):
         assert np.all(np.isfinite(FilterSpec(0.0, 1.1126e-308).response(0.01, 16)))
 
@@ -143,6 +148,17 @@ class TestG2:
         dark = BeamModelSpec(family=family, nu=0.0, gamma=1.0)
         with pytest.raises(DomainError, match="zero mean flux"):
             g2(generate_ensemble(dark, 0.01, 2000, 1, 3), [0.0, 0.5])
+
+    def test_rejects_a_burn_in_that_leaves_no_samples(self):
+        with pytest.raises(DomainError, match="burn_in leaves no samples"):
+            g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0], burn_in=20.0)
+
+    @pytest.mark.parametrize("tau", [20.0, 1e300, 1.7e308])
+    def test_rejects_a_tau_beyond_the_trace(self, tau):
+        """Checked before the lags are cast to int: a huge tau raises no
+        numpy warning (an error under this suite's warning filter)."""
+        with pytest.raises(DomainError, match="tau exceeds the analysable trace length"):
+            g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0, tau])
 
 
 class TestPhotonCounts:

@@ -21,11 +21,12 @@ from beamsim.fieldgen import (
     FAMILIES,
     BeamModelSpec,
     FieldTrace,
+    _mode_grid,
     generate_ensemble,
     generate_trace,
 )
 from beamsim.photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
-from beamsim.spectral import _amplitude_transform, _power, spectrum
+from beamsim.spectral import _amplitude_transform, _pair_products, _power, spectrum
 from beamsim.traceio import trace_from_bytes, trace_to_bytes
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -94,9 +95,13 @@ def test_parseval(block, dt):
     for u_row, row in zip(u, block):
         assert np.sum(np.abs(u_row) ** 2) == pytest.approx(dt * np.sum(np.abs(row) ** 2),
                                                            rel=1e-10)
-    # a single bin of the one periodogram row is that bin of the whole row
-    b = block.shape[1] // 2
-    np.testing.assert_array_equal(_power(block, dt, slice(b, b + 1)), _power(block, dt)[:, b:b + 1])
+    # a bin's power is the real part of its diagonal pair product, bit for
+    # bit, and the imaginary part is exactly zero
+    n = block.shape[1]
+    b = n // 2
+    products = _pair_products([(_mode_grid(dt, n)[b],) * 2])(dt, n)(block)
+    np.testing.assert_array_equal(products.real, _power(block, dt)[:, b:b + 1])
+    assert not np.any(products.imag)
 
 
 def model_of(family, nu=1.0, gamma=1.0):

@@ -161,6 +161,11 @@ class TestFilteredPower:
         with pytest.warns(UserWarning):
             filtered_power(1.0, 1e9, 1e8)
 
+    @pytest.mark.parametrize("nu", [-1.0, math.nan, math.inf])
+    def test_rejects_a_negative_or_non_finite_nu(self, nu):
+        with pytest.raises(DomainError, match="nu must be finite and non-negative"):
+            filtered_power(nu, 1e15, 1e7)
+
 
 class TestTemperatureForFilteredPower:
     def test_100mW_through_1e7_filter(self):

@@ -317,15 +317,17 @@ def test_partly_consumed_ensemble_scans_the_rest():
 
 
 def test_coarse_jitter_warning_once_per_ensemble_at_the_caller():
+    """Each way of building an ensemble warns once, naming the line that built it."""
     model = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
                           jitter_band=20.0, jitter_corr_time=1.5)
     for make in (lambda: generate_trace(model, DT, N, SEED),
                  lambda: list(generate_ensemble(model, DT, N, SEED, TRACES)),
-                 lambda: spectrum(generate_ensemble(model, DT, N, SEED, TRACES))):
+                 lambda: spectrum(generate_ensemble(model, DT, N, SEED, TRACES)),
+                 lambda: spectrum(Ensemble(model, DT, N, SEED, range(TRACES)))):
         with pytest.warns(UserWarning, match="jitter phase steps are coarse") as record:
             make()
         assert len(record) == 1
-        assert record[0].filename == __file__
+        assert (record[0].filename, record[0].lineno) == (__file__, make.__code__.co_firstlineno)
 
 
 SWEEP_N = 2 * N

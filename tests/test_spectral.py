@@ -160,6 +160,10 @@ class TestPeriodogramDistribution:
         with pytest.raises(DomainError, match="finite and >= 0"):
             periodogram_distribution_test(values)
 
+    def test_rejects_an_all_zero_bin(self):
+        with pytest.raises(DomainError, match="degenerate"):
+            periodogram_distribution_test(np.zeros(1000))
+
     def test_requires_1000_traces(self):
         with pytest.raises(DomainError):
             periodogram_distribution_test(periodogram_bin_values(
@@ -202,8 +206,8 @@ class TestCrossModeCorrelation:
             generate_ensemble(THERMAL, dt, n, 77, 3000), pairs)
         for (k, kp), value, err in zip(pairs, est.values, est.std_errors):
             exact = exact_discrete_cross(nu, gamma, dt, n, k, kp)
-            assert abs(value.real - exact.real) < 3.0 * err
-            assert abs(value.imag) < 3.0 * err
+            assert abs(value.real - exact.real) < 3.0 * err.real
+            assert abs(value.imag) <= 3.0 * err.imag   # the diagonal pair: 0 <= 0
 
     def test_off_diagonal_is_negative_real(self):
         # zero-center pair: second bracket term vanishes, value = -nu (2/TG) f f'
@@ -223,8 +227,21 @@ class TestCrossModeCorrelation:
             generate_ensemble(model, 0.01, 2000, 13, 500),
             [(3 * d_omega, 7 * d_omega), (0.0, d_omega)])
         for value, err in zip(est.values, est.std_errors):
-            assert abs(value.real) < 3.0 * err
-            assert abs(value.imag) < 3.0 * err
+            assert abs(value.real) < 3.0 * err.real
+            assert abs(value.imag) < 3.0 * err.imag
+
+    def test_per_component_standard_errors(self):
+        """std_errors is sigma_re/sqrt(N) + i sigma_im/sqrt(N); a diagonal
+        pair is the bin's power, whose imaginary part is exactly zero."""
+        d_omega = TWO_PI / 20.0
+        pairs = [(0.0, 0.0), (0.0, 3 * d_omega)]
+        est = cross_mode_correlation(generate_ensemble(THERMAL, 0.01, 2000, 5, 40), pairs)
+        power = periodogram_bin_values(generate_ensemble(THERMAL, 0.01, 2000, 5, 40), 0.0)
+        assert est.values[0].imag == 0.0 and est.std_errors[0].imag == 0.0
+        assert est.values[0].real == pytest.approx(power.mean(), rel=1e-12)
+        assert est.std_errors[0].real == pytest.approx(power.std(ddof=1) / math.sqrt(40),
+                                                       rel=1e-12)
+        assert est.std_errors[1].real > 0.0 and est.std_errors[1].imag > 0.0
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(DomainError):
@@ -294,6 +311,19 @@ class TestStationarity:
         W[3, 5] = bad
         with pytest.raises(DomainError, match="W must be finite"):
             stationarity_test(W)
+
+    def test_rejects_a_trace_shorter_than_n_windows(self):
+        with pytest.raises(DomainError, match="shorter than n_windows"):
+            windowed_mean_intensities(generate_ensemble(THERMAL, 0.01, 4, 1, 2), n_windows=8)
+
+    def test_identical_pulse_shapes_fail(self):
+        """Every trace with the same non-flat window pattern has no spread
+        within positions: F is infinite and position homogeneity fails."""
+        W = np.tile([1.0, 5.0, 1.0, 5.0, 1.0, 5.0, 1.0, 5.0], (20, 1))
+        assert _anova_f(W) == math.inf
+        report = stationarity_test(W)
+        assert report.p_position <= 1e-3
+        assert not report.passed
 
     def test_window_matrix_needs_four_windows(self):
         with pytest.raises(DomainError):
