@@ -12,9 +12,11 @@ qslb-demo   stationarity + periodogram-law verdict table contrasting the
             frequency-mode product construction with genuine stationary beams
 
 Exit codes: 0 success, 2 usage error, 3 numerical/configuration error or a
-grid too large for memory, 4 I/O error.  Every output file embeds the tool
-version, the fully resolved configuration, and the master seed; re-running a
-command with the embedded configuration reproduces the file byte for byte.
+grid too large for memory, 4 I/O error.  stdout holds the result (CSV or
+JSON) alone, or nothing with --out; every other line goes to stderr.  Every
+output file embeds the tool version, the fully resolved configuration, and
+the master seed; re-running a command with the embedded configuration
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -192,9 +194,14 @@ def _stored_traces(in_dir: str):
 
 
 def _ensemble_from_args(args: argparse.Namespace):
-    """Traces from --in (see _stored_traces), or generated inline; the inline
-    ensemble's size, grid and seed are checked first."""
+    """Traces from --in (see _stored_traces), given no generation flag, or
+    generated inline; the inline ensemble's size, grid and seed are checked first."""
     if getattr(args, "in_dir", None):
+        given = ["--" + k.replace("_", "-") for k in ("family", "nu", "gamma", "dt", "duration",
+                 "seed", "traces", "jitter_corr_time", "jitter_band")
+                 if getattr(args, k) != (0.0 if k == "jitter_band" else None)]
+        if given:
+            raise ConfigurationError(f"--in reads stored traces; drop {', '.join(given)}")
         return _stored_traces(args.in_dir)
     model = _model_from_args(args)
     return generate_ensemble(model, *_run_from_args(args))
@@ -263,8 +270,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_json(partial, manifest)
     os.replace(partial, out_dir / "run.json")
     tag = " (degenerate: nu = 0, zero field)" if model.nu == 0.0 else ""
-    print(f"wrote {args.traces} traces to {out_dir}{tag}")
-    print(f"mean flux {mean_flux:.6g}  expected nu*Gamma/4 = {model.mean_flux:.6g}")
+    print(f"wrote {args.traces} traces to {out_dir}{tag}", file=sys.stderr)
+    print(f"mean flux {mean_flux:.6g}  expected nu*Gamma/4 = {model.mean_flux:.6g}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -342,10 +349,8 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
     columns = ["family", "stationarity_p", "stationarity_passed",
                "periodogram_p", "periodogram_passed", "verdict"]
     _emit(args, payload, columns, [[r[c] for c in columns] for r in results])
-    # JSON on stdout is the document alone: the verdict table goes to stderr then
-    summary = sys.stderr if args.format == "json" and not args.out else sys.stdout
     for r in results:
-        print(f"{r['family']:<16} {r['verdict']}", file=summary)
+        print(f"{r['family']:<16} {r['verdict']}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-TWO_PI = 2.0 * math.pi
-
 FAMILIES = ("thermal", "laser", "jittered_laser", "kspace_product", "periodic_thermal")
 _MODE_FAMILIES = ("kspace_product", "periodic_thermal")
 
@@ -207,7 +205,7 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     inc = np.empty((k, n - 1))
     for r, index in enumerate(indices):
         rng = trace_rng(master_seed, index)
-        phi0[r] = rng.uniform(0.0, TWO_PI)
+        phi0[r] = rng.uniform(0.0, math.tau)
         rng.standard_normal(out=inc[r])
     inc *= math.sqrt(model.gamma * dt)
     if model.jitter_band > 0:
@@ -235,7 +233,7 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
 
 def _mode_grid(dt: float, n: int) -> np.ndarray:
     """DFT detuning grid, spacing 2 pi / duration (numpy fft ordering)."""
-    return TWO_PI * np.fft.fftfreq(n, d=dt)
+    return math.tau * np.fft.fftfreq(n, d=dt)
 
 
 def _from_modes(model: BeamModelSpec, dt: float, n: int, unit: np.ndarray) -> np.ndarray:
@@ -253,7 +251,7 @@ def _kspace_product(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     independent uniform phases."""
     theta = np.empty((len(indices), n))
     for r, index in enumerate(indices):
-        theta[r] = trace_rng(master_seed, index).uniform(0.0, TWO_PI, n)
+        theta[r] = trace_rng(master_seed, index).uniform(0.0, math.tau, n)
     unit = 1j * theta
     del theta
     return _from_modes(model, dt, n, np.exp(unit, out=unit))

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fieldgen import TWO_PI, Ensemble, FieldTrace, _mode_grid, lorentzian
+from .fieldgen import Ensemble, FieldTrace, _mode_grid, lorentzian
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,8 @@ def _fft_bin(dt: float, n: int, detuning: float) -> int:
     if not math.isfinite(detuning):
         raise DomainError(f"detuning must be finite, got {detuning!r}")
     duration = n * dt
-    l = int(round(detuning * duration / TWO_PI))
-    if abs(l * TWO_PI / duration - detuning) > 1e-6 * max(abs(detuning), TWO_PI / duration):
+    l = int(round(detuning * duration / math.tau))
+    if abs(l * math.tau / duration - detuning) > 1e-6 * max(abs(detuning), math.tau / duration):
         raise DomainError(f"detuning {detuning:g} is not on the trace grid")
     if not (-(n // 2) <= l <= (n - 1) // 2):
         raise DomainError(f"detuning {detuning:g} beyond the Nyquist band")

@@ -16,8 +16,6 @@ from scipy.special import gammaln
 
 from .errors import DomainError
 
-TWO_PI = 2.0 * math.pi
-
 
 def _check_mean(mean: float) -> None:
     if not (isinstance(mean, (int, float)) and math.isfinite(mean) and mean >= 0):
@@ -91,7 +89,7 @@ def sample_coherent_amplitude(state: SingleModeState, rng: np.random.Generator, 
         re = rng.standard_normal(size)
         im = rng.standard_normal(size)
         return math.sqrt(m / 2.0) * (re + 1j * im)
-    phi = rng.uniform(0.0, TWO_PI, size)
+    phi = rng.uniform(0.0, math.tau, size)
     return math.sqrt(m) * np.exp(1j * phi)
 
 

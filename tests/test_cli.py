@@ -241,7 +241,7 @@ class TestSimulate:
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["config"]["seed"] == 42
         assert manifest["expected_flux"] == 25.0
-        assert "expected nu*Gamma/4 = 25" in capsys.readouterr().out
+        assert "expected nu*Gamma/4 = 25" in capsys.readouterr().err
         trace = read_trace(files[0])
         assert trace.model.family == "laser"
         assert trace.n_samples == 5000
@@ -258,7 +258,7 @@ class TestSimulate:
         assert run("simulate", "--family", "thermal", "--nu", "0", "--gamma", "1",
                    "--dt", "0.01", "--duration", "50", "--traces", "2",
                    "--seed", "1", "--out", str(out)) == 0
-        assert "degenerate" in capsys.readouterr().out
+        assert "degenerate" in capsys.readouterr().err
         assert json.loads((out / "run.json").read_text())["degenerate"] is True
 
     def test_json_format_is_rejected(self, tmp_path, capsys):
@@ -385,6 +385,39 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert f"{path.name}: payload" in err
         assert "Traceback" not in err
+
+    # every generation flag, in the order the error names them; --seed 0 is a real seed
+    GENERATION = {"family": "laser", "nu": "100", "gamma": "1", "dt": "0.5", "duration": "50",
+                  "seed": "0", "traces": "7", "jitter-corr-time": "1", "jitter-band": "20"}
+
+    @pytest.mark.parametrize("form", ["flags", "config"])
+    @pytest.mark.parametrize("command", ["spectrum", "g2"])
+    def test_in_rejects_generation_flags(self, tmp_path, capsys, command, form):
+        """--in analyses stored traces: a generation flag given with it would
+        be recorded in the output for a run it did not make."""
+        run_dir, out = tmp_path / "run", tmp_path / "result"
+        assert run(*TestSimulate.ARGS, "--out", str(run_dir)) == 0
+        capsys.readouterr()
+        if form == "flags":
+            extra = [arg for key, value in self.GENERATION.items() for arg in (f"--{key}", value)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in self.GENERATION.items()))
+            extra = ["--config", str(cfg)]
+        assert run(command, "--in", str(run_dir), *extra, "--out", str(out)) == 3
+        flags = ", ".join(f"--{key}" for key in self.GENERATION)
+        assert capsys.readouterr() == ("", f"error: --in reads stored traces; drop {flags}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "g2"])
+    def test_in_takes_analysis_flags_and_a_zero_jitter_band(self, tmp_path, command):
+        run_dir, out = tmp_path / "run", tmp_path / "result.json"
+        assert run(*TestSimulate.ARGS, "--out", str(run_dir)) == 0
+        analysis = ("--taus", "0,0.01", "--filter-fwhm", "20", "--filter-center", "0",
+                    "--burn-in", "0.5") if command == "g2" else ()
+        assert run(command, "--in", str(run_dir), "--jitter-band", "0", *analysis,
+                   "--format", "json", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"]["seed"] is None
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ("spectrum", "--family", "laser", "--nu", "100", "--gamma", "1",
@@ -586,7 +619,8 @@ class TestSweepCommand:
 
 
 class TestOutputFormats:
-    """The --out CSV table and the --format json payload of one run agree."""
+    """The --out CSV table and the --format json payload of one run agree, and
+    stdout holds the result alone, or nothing with --out."""
 
     MODEL = ("--nu", "100", "--gamma", "1", "--seed", "5")
     QSLB_COLUMNS = ("family", "stationarity_p", "stationarity_passed",
@@ -614,10 +648,16 @@ class TestOutputFormats:
                       None),
     }
 
-    @pytest.mark.parametrize("command", list(CASES))
-    def test_csv_numbers_equal_json_values(self, command, tmp_path, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def _fewer_permutations(self, monkeypatch):
         monkeypatch.setattr(cli, "stationarity_test",
                             functools.partial(stationarity_test, n_permutations=199))
+
+    # every command with a CSV or JSON result, and its arguments
+    ARGV = {"blackbody": ("blackbody",), **{command: case[0] for command, case in CASES.items()}}
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_csv_numbers_equal_json_values(self, command, tmp_path):
         argv, json_rows, ensemble_size_in = self.CASES[command]
         csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
         assert run(*argv, "--out", str(csv_path)) == 0
@@ -647,3 +687,35 @@ class TestOutputFormats:
                     assert cell == str(value)
                 else:   # the number reads back exactly
                     assert type(value)(cell) == value, (cell, value)
+
+    @pytest.mark.parametrize("command, fmt", [(command, fmt) for command in ARGV
+                                              for fmt in ("csv", "json")] + [("simulate", "csv")])
+    def test_stdout_holds_the_result_alone(self, command, fmt, tmp_path, capsys):
+        """Without --out, stdout is the --out file's text and nothing else;
+        with --out it is empty.  simulate writes only to --out."""
+        if command == "simulate":
+            assert run(*TestSimulate.ARGS, "--out", str(tmp_path / "run")) == 0
+            assert capsys.readouterr().out == ""
+            return
+        argv = (*self.ARGV[command], "--format", fmt)
+        path = tmp_path / "out"
+        assert run(*argv, "--out", str(path)) == 0
+        assert capsys.readouterr().out == ""
+        assert run(*argv) == 0
+        out = capsys.readouterr().out
+        assert out == path.read_text()
+        if fmt == "json":
+            json.loads(out)
+
+    @pytest.mark.parametrize("command", [
+        pytest.param("blackbody", marks=pytest.mark.xfail(
+            strict=True, reason="the formula cell 'P_collimated(T_prime) / P_radiated(A, T_prime)' "
+                                "holds an unquoted comma")),
+        *CASES])
+    def test_csv_on_stdout_is_one_table(self, command, capsys):
+        """Every line of a CSV on stdout, past its # metadata, has the
+        header's field count."""
+        assert run(*self.ARGV[command]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows and [len(row) for row in rows] == [len(header)] * len(rows)

@@ -81,8 +81,8 @@ def render(case: str, tmp: Path, monkeypatch) -> str:
     monkeypatch.setattr(cli, "stationarity_test",
                         functools.partial(stationarity_test, n_permutations=N_PERMUTATIONS))
     if case == "simulate":
-        text = _run(SIMULATE, tmp)[0] + (tmp / "store" / "run.json").read_text()
-        return _mask(text, tmp)
+        out, err = _run(SIMULATE, tmp)
+        return _mask(err + out + (tmp / "store" / "run.json").read_text(), tmp)
     if case == "traces":
         lines = ["family,sample,re,im"]
         for family in FAMILIES:
@@ -99,7 +99,7 @@ def render(case: str, tmp: Path, monkeypatch) -> str:
     out, err = _run(COMMANDS[command] + FORMATS[fmt], tmp)
     if fmt == "json-stdout":
         json.loads(out)   # stdout holds the JSON document alone
-    text = err + out   # a summary that would break the JSON goes to stderr, first
+    text = err + out
     if "--out" in FORMATS[fmt]:
         text = text + (tmp / "out").read_text()
     return _mask(text, tmp)
