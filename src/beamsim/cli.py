@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from . import radiometry
-from .fieldgen import FAMILIES, BeamModelSpec, generate_ensemble
-from .photonics import FilterSpec, filtered_laser_sweep, g2
+from .fieldgen import FAMILIES, BeamModelSpec, FilterSpec, generate_ensemble
+from .photonics import apply_filter, filtered_laser_sweep, g2
 from .spectral import (
     _check_law_traces,
     _check_significance,
@@ -193,18 +193,19 @@ def _stored_traces(in_dir: str):
     return (read_trace(manifest.parent / name) for name in files)
 
 
-def _ensemble_from_args(args: argparse.Namespace):
-    """Traces from --in (see _stored_traces), given no generation flag, or
-    generated inline; the inline ensemble's size, grid and seed are checked first."""
+def _ensemble_from_args(args: argparse.Namespace, filt: FilterSpec | None = None):
+    """Traces from --in (see _stored_traces), given no generation flag, or generated inline,
+    filtered by `filt` if given; the inline size, grid, seed and filter are checked first."""
     if getattr(args, "in_dir", None):
         given = ["--" + k.replace("_", "-") for k in ("family", "nu", "gamma", "dt", "duration",
                  "seed", "traces", "jitter_corr_time", "jitter_band")
                  if getattr(args, k) != (0.0 if k == "jitter_band" else None)]
         if given:
             raise ConfigurationError(f"--in reads stored traces; drop {', '.join(given)}")
-        return _stored_traces(args.in_dir)
+        traces = _stored_traces(args.in_dir)
+        return traces if filt is None else (apply_filter(t, filt) for t in traces)
     model = _model_from_args(args)
-    return generate_ensemble(model, *_run_from_args(args))
+    return generate_ensemble(model, *_run_from_args(args), filt=filt)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def cmd_blackbody(args: argparse.Namespace) -> int:
         ("T_prime_K", coll.temperature, "sqrt(12 hbar P / pi) / k_B"),
         ("lambda_prime_max_m", coll.lambda_max, "2 pi hbar c / (x k_B T_prime)"),
         ("collimation_efficiency_approx", coll.approximate, "lambda_prime_max^2 / A"),
-        ("collimation_efficiency_exact", coll.exact, "P_collimated(T_prime) / P_radiated(A, T_prime)"),
+        ("collimation_efficiency_exact", coll.exact, "P_collimated(T_prime) / (sigma A T_prime^4)"),
         ("T_doubleprime_K", filt.temperature, "4 P / (k_B Gamma)"),
         ("lambda_doubleprime_max_m", radiometry.wien_peak(filt.temperature),
          "2 pi hbar c / (x k_B T_doubleprime)"),
@@ -288,14 +289,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_g2(args: argparse.Namespace) -> int:
     if args.filter_fwhm is None and args.filter_center != 0.0:
         raise ConfigurationError("--filter-center needs --filter-fwhm: there is no filter to center")
-    traces = _ensemble_from_args(args)
     filt = (None if args.filter_fwhm is None
             else FilterSpec(center_detuning=args.filter_center, fwhm=args.filter_fwhm))
+    traces = _ensemble_from_args(args, filt)
     burn_in = args.burn_in
     if burn_in is None:
         burn_in = 0.0 if filt is None else filt.suggested_burn_in()
     tau_grid = [float(x) for x in args.taus.split(",")]
-    est = g2(traces, tau_grid, burn_in=burn_in, filt=filt)
+    est = g2(traces, tau_grid, burn_in=burn_in)
     payload = {"g2": {"tau": est.tau.tolist(), "values": est.values.tolist(),
                       "std_errors": est.std_errors.tolist(),
                       "ensemble_size": est.ensemble_size}}

@@ -49,6 +49,48 @@ def lorentzian(omega, fwhm: float, center: float = 0.0):
     return half**2 / (half**2 + (np.asarray(omega, dtype=float) - center) ** 2)
 
 
+def _mode_grid(dt: float, n: int) -> np.ndarray:
+    """DFT detuning grid, spacing 2 pi / duration (numpy fft ordering)."""
+    return math.tau * np.fft.fftfreq(n, d=dt)
+
+
+@dataclass(frozen=True)
+class FilterSpec:
+    """Single-pole Lorentzian filter: center detuning and FWHM of |t(w)|^2."""
+
+    center_detuning: float   # rad/s
+    fwhm: float              # rad/s
+
+    def __post_init__(self):
+        # the response divides by fwhm/2: its reciprocal must be finite too
+        if not (0 < self.fwhm < math.inf and math.isfinite(2.0 / self.fwhm)):
+            raise DomainError(f"fwhm must be finite and > 0 with 2/fwhm finite, got {self.fwhm!r}")
+        if not math.isfinite(self.center_detuning):
+            raise DomainError("center_detuning must be finite")
+
+    def response(self, dt: float, n: int) -> np.ndarray:
+        """t(w) = (d/2) / ((d/2) - i (w - w_f)) on the DFT grid of (dt, n), in
+        numpy fft ordering; |t|^2 is Lorentzian of FWHM d.  A filter too wide
+        for the grid (fwhm >= pi/dt) is rejected."""
+        if self.fwhm >= math.pi / dt:
+            raise ConfigurationError(
+                f"filter fwhm {self.fwhm:g} not resolvable on a grid with dt={dt:g} "
+                f"(need fwhm < pi/dt = {math.pi / dt:g})"
+            )
+        half = self.fwhm / 2.0
+        return half / (half - 1j * (_mode_grid(dt, n) - self.center_detuning))
+
+    def suggested_burn_in(self) -> float:
+        """Analysis margin covering the filter transient, 10/fwhm seconds."""
+        return 10.0 / self.fwhm
+
+
+def _filtered(samples: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """The one filter rule: each trace (last axis) filtered by `response` in its modes' buffer."""
+    modes = np.fft.ifft(samples, axis=-1)
+    return np.fft.fft(np.multiply(modes, response, out=modes), axis=-1, out=modes)
+
+
 @dataclass(frozen=True)
 class BeamModelSpec:
     """Beam model family and its physical parameters."""
@@ -231,11 +273,6 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     return field
 
 
-def _mode_grid(dt: float, n: int) -> np.ndarray:
-    """DFT detuning grid, spacing 2 pi / duration (numpy fft ordering)."""
-    return math.tau * np.fft.fftfreq(n, d=dt)
-
-
 def _from_modes(model: BeamModelSpec, dt: float, n: int, unit: np.ndarray) -> np.ndarray:
     """alpha_j = sum_l A_l exp(-i omega_l t_j) with A_l = unit_l sqrt(nu f(omega_l) / duration),
     so that E|A_l|^2 = nu f(omega_l) / duration and the mean flux is ~ nu Gamma / 4.
@@ -274,9 +311,10 @@ _GENERATORS = {
 
 class Ensemble:
     """Iterator over the traces `indices` of the model on the grid (dt, n),
-    in order: each is made as a block of one and finite-checked once, by
-    FieldTrace.  The grid is checked here, before any trace is made, and a
-    coarse jitter step (dt * jitter_band > 0.1) is warned about here, once.
+    in order, filtered by `filt` if given: each is made as a block of one and
+    finite-checked once, by FieldTrace.  The grid and the filter are checked,
+    and a coarse jitter step (dt * jitter_band > 0.1) is warned about, here,
+    once, before any trace is made.
 
     Each trace depends only on its index, so a consumer may instead take the
     indices not yet pulled (`take_rest`) and make them itself, on any thread
@@ -285,8 +323,9 @@ class Ensemble:
     """
 
     def __init__(self, model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                 indices: range):
+                 indices: range, filt: Optional[FilterSpec] = None):
         _check_grid(model, dt, n)
+        self._response = None if filt is None else filt.response(dt, n)
         if model.jitter_band * dt > 0.1:
             level = 2   # the first frame outside this module: the line that built the ensemble
             while sys._getframe(level - 1).f_globals["__name__"] == __name__:
@@ -299,21 +338,23 @@ class Ensemble:
     def __iter__(self) -> "Ensemble":
         return self
 
+    def _rows(self, indices: range) -> np.ndarray:
+        block = _GENERATORS[self.model.family](self.model, self.dt, self.n, self.master_seed,
+                                               indices)
+        return block if self._response is None else _filtered(block, self._response)
+
     def __next__(self) -> FieldTrace:
         if not self._rest:
             raise StopIteration
         index, self._rest = self._rest[0], self._rest[1:]
-        samples = _GENERATORS[self.model.family](self.model, self.dt, self.n, self.master_seed,
-                                                 range(index, index + 1))
-        return FieldTrace(samples=samples[0], dt=self.dt, model=self.model,
-                          master_seed=self.master_seed, trace_index=index)
+        return FieldTrace(samples=self._rows(range(index, index + 1))[0], dt=self.dt,
+                          model=self.model, master_seed=self.master_seed, trace_index=index)
 
     def make_block(self, indices: range) -> np.ndarray:
         """The samples of traces `indices` (consecutive) as the rows of a
         (len(indices), n) block, finite-checked; row r equals the samples of
         trace indices[r] made alone."""
-        block = _GENERATORS[self.model.family](self.model, self.dt, self.n, self.master_seed,
-                                               indices)
+        block = self._rows(indices)
         _check_finite(block)
         return block
 
@@ -331,10 +372,10 @@ def generate_trace(model: BeamModelSpec, dt: float, n: int, master_seed: int,
 
 
 def generate_ensemble(model: BeamModelSpec, dt: float, n: int, master_seed: int,
-                      n_traces: int) -> Ensemble:
+                      n_traces: int, filt: Optional[FilterSpec] = None) -> Ensemble:
     """Lazily generate n_traces independent traces, trace indices 0 to
-    n_traces - 1.  The trace count and (by the Ensemble) the grid are checked
-    here, before any trace is made."""
+    n_traces - 1, filtered by `filt` if given.  The trace count and (by the
+    Ensemble) the grid and the filter are checked here, before any trace is made."""
     if n_traces < 1:
         raise DomainError("n_traces must be >= 1")
-    return Ensemble(model, dt, n, master_seed, range(n_traces))
+    return Ensemble(model, dt, n, master_seed, range(n_traces), filt)

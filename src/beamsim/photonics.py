@@ -1,16 +1,16 @@
-"""Spectral filtering, intensity correlations, and photon counting.
+"""Filtering of single traces, intensity correlations, and photon counting.
 
-Filtering is done in the amplitude domain with a causal single-pole response
-whose squared modulus is exactly the unit-peak Lorentzian power transmission;
-it is applied over the whole trace via the DFT (circular convolution), so a
-leading margin of ~10/fwhm should be discarded from any analysis of filtered
-traces (the g2 and sampling helpers take a burn_in argument for this).
+A filter (fieldgen.FilterSpec) multiplies a trace's DFT modes, as a filtered
+ensemble does, by a causal single-pole amplitude response whose squared
+modulus is exactly the unit-peak Lorentzian power transmission.  That is a
+circular convolution, so a leading margin of ~10/fwhm should be discarded
+from any analysis of filtered traces (g2 and intensity_samples take burn_in).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,49 +19,18 @@ from .errors import ConfigurationError, DomainError
 from .fieldgen import (
     BeamModelSpec,
     FieldTrace,
+    FilterSpec,
     generate_ensemble,
     trace_rng,
     _CHANNEL_COUNTS,
-    _mode_grid,
+    _filtered,
 )
 from .spectral import _ordered_map, _scan
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Single-pole Lorentzian filter: center detuning and FWHM of |t(w)|^2."""
-
-    center_detuning: float   # rad/s
-    fwhm: float              # rad/s
-
-    def __post_init__(self):
-        # the response divides by fwhm/2: its reciprocal must be finite too
-        if not (0 < self.fwhm < math.inf and math.isfinite(2.0 / self.fwhm)):
-            raise DomainError(f"fwhm must be finite and > 0 with 2/fwhm finite, got {self.fwhm!r}")
-        if not math.isfinite(self.center_detuning):
-            raise DomainError("center_detuning must be finite")
-
-    def response(self, dt: float, n: int) -> np.ndarray:
-        """t(w) = (d/2) / ((d/2) - i (w - w_f)) on the DFT grid of (dt, n), in
-        numpy fft ordering; |t|^2 is Lorentzian of FWHM d.  A filter too wide
-        for the grid (fwhm >= pi/dt) is rejected."""
-        if self.fwhm >= math.pi / dt:
-            raise ConfigurationError(
-                f"filter fwhm {self.fwhm:g} not resolvable on a grid with dt={dt:g} "
-                f"(need fwhm < pi/dt = {math.pi / dt:g})"
-            )
-        half = self.fwhm / 2.0
-        return half / (half - 1j * (_mode_grid(dt, n) - self.center_detuning))
-
-    def suggested_burn_in(self) -> float:
-        """Analysis margin covering the filter transient, 10/fwhm seconds."""
-        return 10.0 / self.fwhm
 
 
 def apply_filter(trace: FieldTrace, filt: FilterSpec) -> FieldTrace:
     """Multiply the trace's frequency components by the filter's amplitude response."""
-    modes = np.fft.ifft(trace.samples) * filt.response(trace.dt, trace.n_samples)
-    return FieldTrace(samples=np.fft.fft(modes), dt=trace.dt, model=trace.model,
-                      master_seed=trace.master_seed, trace_index=trace.trace_index)
+    return replace(trace, samples=_filtered(trace.samples, filt.response(trace.dt, trace.n_samples)))
 
 
 @dataclass(frozen=True)
@@ -103,9 +72,9 @@ def _ratio_estimate(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
-       burn_in: float = 0.0, filt: FilterSpec | None = None) -> G2Estimate:
+       burn_in: float = 0.0) -> G2Estimate:
     """g2(tau) = <I(t) I(t+tau)> / <I>^2 averaged over time and ensemble, of
-    the traces or, with `filt`, of apply_filter(trace, filt) bit for bit.
+    the traces as given: a filtered source gives g2 of filtered light.
 
     The ratio is pooled (ensemble-mean numerator over squared ensemble-mean
     flux); standard errors come from the per-trace scatter via the delta
@@ -114,7 +83,6 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
     tau_grid = np.asarray(tau_grid, dtype=float)
 
     def setup(dt: float, n: int):
-        response = None if filt is None else filt.response(dt, n)
         if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
             raise DomainError("tau_grid values must be finite and >= 0")
         skip = _burn_in_samples(dt, n, burn_in)
@@ -127,9 +95,6 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
             raise DomainError("tau_grid values must be multiples of dt")
 
         def row(block):
-            if response is not None:   # filter the block in the buffer of its modes
-                modes = np.fft.ifft(block, axis=1)
-                block = np.fft.fft(np.multiply(modes, response, out=modes), axis=1, out=modes)
             # time-mean intensity, then the time-mean of I(t) I(t+tau) per lag
             intensity = (block.real**2 + block.imag**2)[:, skip:]
             out = np.empty((len(block), 1 + len(lags)))

@@ -113,8 +113,8 @@ def test_criterion_3_intensity_statistics():
 
     # laser filtered at Gamma/100 becomes thermal-like
     filt = FilterSpec(center_detuning=0.0, fwhm=0.01)
-    est_f = g2(generate_ensemble(laser, 0.01, 200000, 33, 400), [0.0], burn_in=1000.0,
-               filt=filt)
+    est_f = g2(generate_ensemble(laser, 0.01, 200000, 33, 400, filt=filt), [0.0],
+               burn_in=1000.0)
     assert abs(est_f.values[0] - 2.0) < 0.2
 
     report(3, f"laser max|g2-1|={max_dev:.1e}; thermal g2(0)={est_t.values[0]:.3f}, "

@@ -448,6 +448,31 @@ class TestG2Command:
         body = json.loads(path.read_text())
         assert 1.0 < body["g2"]["values"][0] < 4.0
 
+    def test_stored_traces_take_the_filter_as_generated_ones(self, tmp_path):
+        """g2 --in filters stored traces as a generated run filters its own:
+        the same g2 payload at the same seed and grid."""
+        run_dir, stored, generated = tmp_path / "run", tmp_path / "in.json", tmp_path / "gen.json"
+        analysis = ("--taus", "0,0.01", "--filter-fwhm", "20", "--burn-in", "0.5",
+                    "--format", "json")
+        assert run(*TestSimulate.ARGS, "--out", str(run_dir)) == 0
+        assert run("g2", "--in", str(run_dir), *analysis, "--out", str(stored)) == 0
+        assert run("g2", *TestSimulate.ARGS[1:], *analysis, "--out", str(generated)) == 0
+        body = json.loads(stored.read_text())["g2"]
+        assert body == json.loads(generated.read_text())["g2"]
+        assert body["ensemble_size"] == 3 and body["values"][0] > 1.0   # a filtered laser
+
+    @pytest.mark.parametrize("source", ["generated", "stored"])
+    def test_unresolvable_filter_exit_code(self, tmp_path, capsys, source):
+        if source == "stored":
+            assert run(*TestSimulate.ARGS, "--out", str(tmp_path / "run")) == 0
+            argv = ("--in", str(tmp_path / "run"))
+        else:
+            argv = TestSimulate.ARGS[1:]
+        capsys.readouterr()
+        assert run("g2", *argv, "--filter-fwhm", "1000") == 3
+        assert capsys.readouterr() == ("", "error: filter fwhm 1000 not resolvable on a grid "
+                                           "with dt=0.01 (need fwhm < pi/dt = 314.159)\n")
+
     def test_filter_center_needs_a_filter(self, capsys):
         assert run("g2", "--family", "thermal", "--nu", "100", "--gamma", "1",
                    "--dt", "0.01", "--duration", "20", "--traces", "2",
@@ -707,11 +732,7 @@ class TestOutputFormats:
         if fmt == "json":
             json.loads(out)
 
-    @pytest.mark.parametrize("command", [
-        pytest.param("blackbody", marks=pytest.mark.xfail(
-            strict=True, reason="the formula cell 'P_collimated(T_prime) / P_radiated(A, T_prime)' "
-                                "holds an unquoted comma")),
-        *CASES])
+    @pytest.mark.parametrize("command", ["blackbody", *CASES])
     def test_csv_on_stdout_is_one_table(self, command, capsys):
         """Every line of a CSV on stdout, past its # metadata, has the
         header's field count."""

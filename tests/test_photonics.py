@@ -94,17 +94,22 @@ class TestFilter:
     def test_smallest_accepted_fwhm_has_a_finite_response(self):
         assert np.all(np.isfinite(FilterSpec(0.0, 1.1126e-308).response(0.01, 16)))
 
-    def test_one_resolvability_check(self):
-        """apply_filter, filtered g2 and the sweep reject a too-wide filter
-        with one message."""
+    def test_one_resolvability_check(self, monkeypatch):
+        """apply_filter, a filtered ensemble and the sweep reject a too-wide
+        filter with one message, the ensemble before any draw."""
+        from beamsim import fieldgen
+
         trace = next(generate_ensemble(LASER, 0.01, 25000, 1, 1))
         with pytest.raises(ConfigurationError) as filtered:
             apply_filter(trace, FilterSpec(0.0, 1000.0))
-        with pytest.raises(ConfigurationError) as correlated:
-            g2(generate_ensemble(LASER, 0.01, 25000, 1, 2), [0.0], filt=FilterSpec(0.0, 1000.0))
+        draws = []
+        monkeypatch.setattr(fieldgen, "trace_rng", lambda *args: draws.append(args))
+        with pytest.raises(ConfigurationError) as generated:
+            generate_ensemble(LASER, 0.01, 25000, 1, 2, filt=FilterSpec(0.0, 1000.0))
+        assert draws == []
         with pytest.raises(ConfigurationError) as swept:
             filtered_laser_sweep(LASER, [1000.0], 0.01, 25000, 1, 2)
-        assert str(filtered.value) == str(correlated.value) == str(swept.value) == (
+        assert str(filtered.value) == str(generated.value) == str(swept.value) == (
             "filter fwhm 1000 not resolvable on a grid with dt=0.01 "
             "(need fwhm < pi/dt = 314.159)")
 
@@ -349,8 +354,7 @@ class TestNarrowFilterUniversality:
         spacing = burn = 1000.0
         pools = {}
         for name, model in (("laser", LASER), ("thermal", THERMAL)):
-            filtered = (apply_filter(t, filt)
-                        for t in generate_ensemble(model, dt, n, 47, 150))
+            filtered = generate_ensemble(model, dt, n, 47, 150, filt=filt)
             pools[name] = intensity_samples(filtered, spacing=spacing, burn_in=burn)
         assert pools["laser"].size >= 300
         ks = stats.ks_2samp(pools["laser"], pools["thermal"])

@@ -404,12 +404,17 @@ def test_sweep_holds_no_trace_when_it_makes_the_next(monkeypatch):
     assert len(made) == 3 * TRACES
 
 
-@pytest.mark.parametrize("family", ["thermal", "jittered_laser"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_filtered_g2_in_blocks_matches_apply_filter(monkeypatch, fast_switching, family):
-    """g2 filters blocks of generated traces as apply_filter filters one
-    trace, bit for bit, at any worker count and block size."""
-    model = THERMAL if family == "thermal" else JITTERED
+    """A filtered ensemble filters its traces, one at a time or in blocks on
+    the pool, as apply_filter filters one trace: bit for bit, at any worker
+    count and block size."""
+    model = (JITTERED if family == "jittered_laser"
+             else BeamModelSpec(family=family, nu=100.0, gamma=1.0))
     filt = FilterSpec(0.7, 10.0)
+    first = next(generate_ensemble(model, DT, N, SEED, TRACES, filt=filt))
+    np.testing.assert_array_equal(
+        first.samples, apply_filter(generate_trace(model, DT, N, SEED), filt).samples, strict=True)
     taus, burn_in = [0.0, 0.1, 0.5], filt.suggested_burn_in()
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "_BLOCK_BYTES", 0)   # a serial scan
@@ -420,8 +425,8 @@ def test_filtered_g2_in_blocks_matches_apply_filter(monkeypatch, fast_switching,
         for block_traces in (1, 3, 5, 13):
             monkeypatch.setattr(spectral, "_WORKERS", workers)
             monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes(block_traces))
-            blocked = g2(generate_ensemble(model, DT, N, SEED, TRACES), taus,
-                         burn_in=burn_in, filt=filt)
+            blocked = g2(generate_ensemble(model, DT, N, SEED, TRACES, filt=filt), taus,
+                         burn_in=burn_in)
             assert_bitwise_equal([blocked.values, blocked.std_errors],
                                  [one_by_one.values, one_by_one.std_errors])
 
