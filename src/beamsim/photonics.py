@@ -43,13 +43,26 @@ class G2Estimate:
     ensemble_size: int
 
 
-def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
+def _check_burn_in(burn_in: float) -> None:
     if not (math.isfinite(burn_in) and burn_in >= 0):
         raise DomainError(f"burn_in must be finite and >= 0, got {burn_in!r}")
-    skip = int(round(burn_in / dt))
+
+
+def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
+    skip = int(round(min(burn_in / dt, n)))   # a huge burn-in would overflow an int
     if skip >= n - 1:
         raise DomainError("burn_in leaves no samples to analyse")
     return skip
+
+
+def _whole_steps(values, dt: float, what: str) -> np.ndarray:
+    """The one whole-step rule: `values` (s, >= 0) as float counts of dt steps, each
+    within 1e-6 max(value, dt) of a whole count; an infinite count is the caller's."""
+    with np.errstate(over="ignore"):   # a huge value would overflow an int
+        steps = np.rint(values / dt)
+    if np.any((np.abs(steps * dt - values) > 1e-6 * np.maximum(values, dt)) & np.isfinite(steps)):
+        raise DomainError(f"{what} must be a multiple of dt")
+    return steps
 
 
 def _ratio_estimate(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -78,21 +91,19 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
 
     The ratio is pooled (ensemble-mean numerator over squared ensemble-mean
     flux); standard errors come from the per-trace scatter via the delta
-    method.
+    method.  Each tau must be a whole number of dt steps (see _whole_steps).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
+        raise DomainError("tau_grid values must be finite and >= 0")
+    _check_burn_in(burn_in)
 
     def setup(dt: float, n: int):
-        if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
-            raise DomainError("tau_grid values must be finite and >= 0")
         skip = _burn_in_samples(dt, n, burn_in)
-        with np.errstate(over="ignore"):   # checked in float: a huge tau would overflow an int
-            steps = np.rint(tau_grid / dt)
-        if np.max(steps, initial=0) >= n - skip:
+        steps = _whole_steps(tau_grid, dt, "each tau")
+        if np.max(steps, initial=0) >= n - skip:   # in float, before the cast to int
             raise DomainError("tau exceeds the analysable trace length")
         lags = steps.astype(int)
-        if np.any(np.abs(lags * dt - tau_grid) > 1e-6 * max(dt, float(np.max(tau_grid, initial=dt)))):
-            raise DomainError("tau_grid values must be multiples of dt")
 
         def row(block):
             # time-mean intensity, then the time-mean of I(t) I(t+tau) per lag
@@ -148,14 +159,17 @@ def photon_counts(trace: FieldTrace, window_T: float) -> np.ndarray:
 
 def intensity_samples(traces: Iterable[FieldTrace], spacing: float,
                       burn_in: float = 0.0) -> np.ndarray:
-    """Instantaneous intensities sampled every `spacing` seconds past burn_in,
-    pooled over the ensemble (for distribution comparisons)."""
+    """Instantaneous intensities every `spacing` seconds (one or more whole dt
+    steps, see _whole_steps) past burn_in, pooled over the ensemble."""
     if not (math.isfinite(spacing) and spacing > 0):
         raise DomainError(f"spacing must be finite and > 0, got {spacing!r}")
+    _check_burn_in(burn_in)
 
     def setup(dt: float, n: int):
         skip = _burn_in_samples(dt, n, burn_in)
-        step = max(1, int(round(spacing / dt)))
+        step = int(min(_whole_steps(spacing, dt, "spacing"), n))   # n: one sample per trace
+        if step < 1:
+            raise DomainError(f"spacing {spacing!r} is below one dt step")
 
         def row(block):
             sampled = block[:, skip::step]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -641,6 +642,35 @@ class TestSweepCommand:
         assert float(fwhm) == 100.0
         assert float(value) > 0.9
         assert int(size) == 3
+
+
+class TestQslbVerdict:
+    """qslb-demo's one verdict rule: a test passes when its p-value exceeds
+    --significance (strictly), and a beam is "stationary" when both pass."""
+
+    @pytest.mark.parametrize("p_stationarity, p_periodogram, passed, verdict", [
+        (1e-3, 0.5, (False, True), "rejected"),          # equal to the significance fails
+        (0.5, 1e-3, (True, False), "rejected"),
+        (1e-4, 1e-4, (False, False), "rejected"),
+        (1.0000001e-3, 0.5, (True, True), "stationary"),  # just above it passes
+    ])
+    def test_p_values_to_verdicts(self, capsys, monkeypatch, p_stationarity, p_periodogram,
+                                  passed, verdict):
+        monkeypatch.setattr(cli, "windowed_means_and_carrier_powers",
+                            lambda traces, windows: (None, None))   # no trace is made
+        monkeypatch.setattr(cli, "stationarity_test",
+                            lambda W: types.SimpleNamespace(p_value=p_stationarity))
+        monkeypatch.setattr(cli, "periodogram_distribution_test",
+                            lambda values: types.SimpleNamespace(p_value=p_periodogram))
+        assert run("qslb-demo", "--nu", "100", "--gamma", "1", "--seed", "5", "--dt", "0.01",
+                   "--duration", "10.24", "--traces", "1000", "--significance", "1e-3",
+                   "--format", "json") == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [r["family"] for r in results] == ["thermal", "laser", "kspace_product"]
+        for r in results:
+            assert (r["stationarity_p"], r["periodogram_p"]) == (p_stationarity, p_periodogram)
+            assert (r["stationarity_passed"], r["periodogram_passed"]) == passed
+            assert r["verdict"] == verdict
 
 
 class TestOutputFormats:

@@ -158,6 +158,21 @@ class TestG2:
         with pytest.raises(DomainError, match="burn_in leaves no samples"):
             g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0], burn_in=20.0)
 
+    def test_a_huge_burn_in_leaves_no_samples(self):
+        """burn_in / dt is clamped to the trace before the cast to int."""
+        with pytest.raises(DomainError, match="burn_in leaves no samples"):
+            g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.0], burn_in=1e308)
+
+    @pytest.mark.parametrize("taus", [[0.0100001], [0.0100001, 19.0]])
+    def test_each_tau_is_a_whole_number_of_steps(self, taus):
+        """Each tau is held to its own tolerance: a larger tau in the grid
+        does not widen it."""
+        with pytest.raises(DomainError, match="each tau must be a multiple of dt"):
+            g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), taus)
+        # within 1e-6 of a step
+        est = g2(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [0.01 + 1e-9, 19.0])
+        assert list(est.tau) == [0.01, 19.0]
+
     @pytest.mark.parametrize("tau", [20.0, 1e300, 1.7e308])
     def test_rejects_a_tau_beyond_the_trace(self, tau):
         """Checked before the lags are cast to int: a huge tau raises no
@@ -286,11 +301,47 @@ class TestIntensitySamples:
         with pytest.raises(DomainError, match="spacing must be finite and > 0"):
             intensity_samples(generate_ensemble(LASER, 0.01, 200, 1, 2), spacing=spacing)
 
+    @pytest.mark.parametrize("spacing, message", [
+        (0.015, "spacing must be a multiple of dt"),   # was sampled every 0.02
+        (0.001, "spacing must be a multiple of dt"),   # was sampled every dt
+        (1e-10, "below one dt step"),
+    ])
+    def test_spacing_is_a_whole_number_of_steps(self, spacing, message):
+        with pytest.raises(DomainError, match=message):
+            intensity_samples(generate_ensemble(LASER, 0.01, 2000, 1, 3), spacing=spacing)
+
+    def test_a_spacing_past_the_trace_takes_one_sample_per_trace(self):
+        samples = intensity_samples(generate_ensemble(LASER, 0.01, 200, 1, 3), spacing=1e300)
+        assert samples.size == 3
+
     @pytest.mark.parametrize("burn_in", [-1.0, math.nan])
     def test_rejects_bad_burn_in(self, burn_in):
         with pytest.raises(DomainError, match="burn_in must be finite and >= 0"):
             intensity_samples(generate_ensemble(LASER, 0.01, 200, 1, 2), spacing=1.0,
                               burn_in=burn_in)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda traces: g2(traces, [0.0, math.nan]),
+    lambda traces: g2(traces, [0.0, -0.01]),
+    lambda traces: g2(traces, [0.0], burn_in=-1.0),
+    lambda traces: g2(traces, [0.0], burn_in=math.nan),
+    lambda traces: intensity_samples(traces, spacing=1.0, burn_in=-1.0),
+    lambda traces: intensity_samples(traces, spacing=math.nan),
+], ids=["g2-nan-tau", "g2-negative-tau", "g2-negative-burn-in", "g2-nan-burn-in",
+        "samples-negative-burn-in", "samples-nan-spacing"])
+def test_bad_arguments_pull_no_trace(estimate):
+    """Arguments that need no grid are checked before the first trace is
+    made or read."""
+    pulled = []
+
+    def traces():
+        for trace in generate_ensemble(THERMAL, 0.01, 200, 1, 2):
+            pulled.append(trace.trace_index)
+            yield trace
+    with pytest.raises(DomainError, match="finite"):
+        estimate(traces())
+    assert pulled == []
 
 
 class TestSweep:

@@ -129,29 +129,30 @@ class TestSpectrum:
         est = spectrum(generate_ensemble(model, 0.01, 2000, 1, 3))
         assert np.all(est.values == 0.0)
 
+    def test_a_spreadless_periodogram_has_no_standard_error(self):
+        """kspace_product's periodogram is the same in every trace up to
+        rounding: the shifted sums leave its standard errors at rounding
+        level, where sum-of-squares minus squared-mean gave ~1e-8 of the value."""
+        model = BeamModelSpec(family="kspace_product", nu=100.0, gamma=1.0)
+        est = spectrum(generate_ensemble(model, 0.01, 2001, 1, 4))
+        assert np.all(est.std_errors <= 1e-12 * est.values)
+
 
 class TestPeriodogramDistribution:
     def test_thermal_exponential_law(self):
         report = periodogram_distribution_test(periodogram_bin_values(
             generate_ensemble(THERMAL, 0.01, 2000, 5, 1500), detuning=0.0))
-        assert report.passed
         assert report.p_value > 1e-3
 
     def test_kspace_product_fails(self):
         model = BeamModelSpec(family="kspace_product", nu=100.0, gamma=1.0)
         report = periodogram_distribution_test(periodogram_bin_values(
             generate_ensemble(model, 0.01, 2000, 5, 1500), detuning=0.0))
-        assert not report.passed
+        assert report.p_value <= 1e-3
         # per-mode modulus is deterministic, so the bin value is constant
         values = periodogram_bin_values(
             generate_ensemble(model, 0.01, 2000, 5, 50), detuning=0.0)
         assert np.ptp(values) < 1e-9 * values.mean()
-
-    @pytest.mark.parametrize("significance", [math.nan, 0.0, 1.0, -1.0, 1.5])
-    def test_meaningless_significance_rejected(self, significance):
-        values = np.random.default_rng(2).exponential(size=1000)
-        with pytest.raises(DomainError, match="significance"):
-            periodogram_distribution_test(values, significance=significance)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_rejects_negative_or_non_finite_values(self, bad):
@@ -279,20 +280,18 @@ class TestStationarity:
     def test_thermal_passes(self):
         report = stationarity_test(windowed_mean_intensities(
             generate_ensemble(THERMAL, 0.01, 10000, 101, 100), n_windows=8))
-        assert report.passed
         assert report.p_value > 1e-3
 
     def test_laser_passes_trivially(self):
         report = stationarity_test(windowed_mean_intensities(
             generate_ensemble(LASER, 0.01, 10000, 101, 100), n_windows=8))
-        assert report.passed
         assert report.p_value == 1.0  # constant intensity
 
     def test_kspace_product_fails(self):
         model = BeamModelSpec(family="kspace_product", nu=100.0, gamma=1.0)
         report = stationarity_test(windowed_mean_intensities(
             generate_ensemble(model, 0.01, 10000, 101, 100), n_windows=8))
-        assert not report.passed
+        assert report.p_value <= 1e-3
         # the deterministic per-trace total flux lands in the far left tail
         # of the window-independence null
         assert report.p_independence <= 1e-3
@@ -323,19 +322,11 @@ class TestStationarity:
         assert _anova_f(W) == math.inf
         report = stationarity_test(W)
         assert report.p_position <= 1e-3
-        assert not report.passed
+        assert report.p_value <= 1e-3
 
     def test_window_matrix_needs_four_windows(self):
         with pytest.raises(DomainError):
             stationarity_test(np.ones((10, 3)))
-
-    @pytest.mark.parametrize("significance", [math.nan, 0.0, 1.0, -1.0, 1.5])
-    def test_meaningless_significance_rejected(self, significance):
-        W = np.random.default_rng(2).random((20, 8))
-        with pytest.raises(DomainError, match="significance"):
-            stationarity_test(W, significance=significance)
-        with pytest.raises(DomainError, match="significance"):   # before the constant case
-            stationarity_test(np.ones((20, 8)), significance=significance)
 
     @pytest.mark.parametrize("n_permutations", [0, -5])
     def test_needs_a_permutation(self, n_permutations):
