@@ -33,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from . import radiometry
-from .fieldgen import FAMILIES, BeamModelSpec, FilterSpec, generate_ensemble
+from .fieldgen import FAMILIES, BeamModelSpec, FilterSpec, _whole_steps, generate_ensemble
 from .photonics import apply_filter, filtered_laser_sweep, g2
 from .spectral import (
     _check_law_traces,
@@ -104,9 +104,16 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         args.parser.error(f"missing required option(s): {flags}")
 
 
+_NOT_FINITE = "the output would hold a NaN or an infinity; nothing was written"
+
+
 def _write_json(out, body: dict) -> None:
-    """`body` as sorted, indented JSON to the path `out`, or to stdout."""
-    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    """`body` as sorted, indented JSON to the path `out`, or to stdout; a NaN
+    or an infinity, which JSON has no token for, writes nothing."""
+    try:
+        text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:   # allow_nan=False's one error
+        raise DomainError(_NOT_FINITE) from None
     if out:
         Path(out).write_text(text)
     else:
@@ -115,19 +122,24 @@ def _write_json(out, body: dict) -> None:
 
 def _cell(value) -> str:
     """The one CSV cell rule: a float (Python or numpy) as repr(float(x)),
-    which reads back exactly, and anything else as str(x)."""
-    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+    which reads back exactly, and anything else as str(x); a NaN or an
+    infinity is a DomainError."""
+    if not isinstance(value, (float, np.floating)):
+        return str(value)
+    if not math.isfinite(value):
+        raise DomainError(_NOT_FINITE)
+    return repr(float(value))
 
 
 def _write_csv(out, metadata: dict, columns, rows) -> None:
     """The one CSV layout, to the path `out` or to stdout: sorted
-    `# key=value` metadata lines, a header row, then one line per row."""
+    `# key=value` metadata lines, a header row, then one line per row, every
+    value a cell; all lines are formatted before the file is opened."""
+    lines = [f"# {key}={_cell(metadata[key])}\n" for key in sorted(metadata)]
+    lines.append(",".join(columns) + "\n")
+    lines += [",".join(map(_cell, row)) + "\n" for row in rows]
     with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
-        for key in sorted(metadata):
-            fh.write(f"# {key}={metadata[key]}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+        fh.writelines(lines)
 
 
 def _emit(args: argparse.Namespace, payload: dict, columns, rows, **metadata) -> None:
@@ -164,11 +176,10 @@ def _run_from_args(args: argparse.Namespace) -> tuple[float, int, int, int]:
     ratio = args.duration / args.dt
     if not math.isfinite(ratio):
         raise ConfigurationError(f"duration / dt = {ratio} is not a finite sample count")
-    n = int(round(ratio))
-    if n < 2:
+    if round(ratio) < 2:
         raise ConfigurationError("duration must cover at least 2 samples")
-    if abs(n * args.dt - args.duration) > 1e-6 * args.duration:
-        raise ConfigurationError(f"--duration {args.duration!r} not a multiple of --dt {args.dt!r}")
+    n = int(_whole_steps(args.duration, args.dt,
+                         f"--duration {args.duration!r} not a multiple of --dt {args.dt!r}"))
     if args.seed < 0:
         raise ConfigurationError(f"--seed must be a non-negative integer, got {args.seed}")
     return args.dt, n, args.seed, args.traces

@@ -54,6 +54,17 @@ def _mode_grid(dt: float, n: int) -> np.ndarray:
     return math.tau * np.fft.fftfreq(n, d=dt)
 
 
+def _whole_steps(values, step: float, message: str) -> np.ndarray:
+    """The one whole-step rule: `values` as float counts of `step`, each within
+    1e-6 max(|value|, step) of a whole count, or DomainError(message); inf is the caller's."""
+    with np.errstate(over="ignore"):   # a huge value would overflow an int
+        steps = np.rint(values / step)
+    off = np.abs(steps * step - values) > 1e-6 * np.maximum(np.abs(values), step)
+    if np.any(off & np.isfinite(steps)):
+        raise DomainError(message)
+    return steps
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """Single-pole Lorentzian filter: center detuning and FWHM of |t(w)|^2."""

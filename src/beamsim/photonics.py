@@ -24,6 +24,7 @@ from .fieldgen import (
     trace_rng,
     _CHANNEL_COUNTS,
     _filtered,
+    _whole_steps,
 )
 from .spectral import _ordered_map, _scan
 
@@ -55,16 +56,6 @@ def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
     return skip
 
 
-def _whole_steps(values, dt: float, what: str) -> np.ndarray:
-    """The one whole-step rule: `values` (s, >= 0) as float counts of dt steps, each
-    within 1e-6 max(value, dt) of a whole count; an infinite count is the caller's."""
-    with np.errstate(over="ignore"):   # a huge value would overflow an int
-        steps = np.rint(values / dt)
-    if np.any((np.abs(steps * dt - values) > 1e-6 * np.maximum(values, dt)) & np.isfinite(steps)):
-        raise DomainError(f"{what} must be a multiple of dt")
-    return steps
-
-
 def _ratio_estimate(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Pooled ratio mean(x) / mean(y)^2 over traces and its delta-method
     standard error from the per-trace scatter of x and y (zero for one trace).
@@ -75,13 +66,14 @@ def _ratio_estimate(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         raise DomainError("zero mean flux (nu = 0?): g2 is undefined")
     if count < 2:
         return xbar / ybar**2, 0.0
-    var_x = np.var(x, ddof=1) / count
-    var_y = np.var(y, ddof=1) / count
-    cov_xy = np.cov(x, y, ddof=1)[0, 1] / count
-    var_g = (var_x / ybar**4
-             + 4.0 * xbar**2 / ybar**6 * var_y
-             - 4.0 * xbar / ybar**5 * cov_xy)
-    return xbar / ybar**2, math.sqrt(max(var_g, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow gives inf or NaN
+        var_x = np.var(x, ddof=1) / count
+        var_y = np.var(y, ddof=1) / count
+        cov_xy = np.cov(x, y, ddof=1)[0, 1] / count
+        var_g = (var_x / ybar**4
+                 + 4.0 * xbar**2 / ybar**6 * var_y
+                 - 4.0 * xbar / ybar**5 * cov_xy)
+        return xbar / ybar**2, math.sqrt(max(var_g, 0.0))
 
 
 def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
@@ -97,10 +89,11 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
     if not np.all(np.isfinite(tau_grid)) or np.any(tau_grid < 0):
         raise DomainError("tau_grid values must be finite and >= 0")
     _check_burn_in(burn_in)
+    off_grid = "each tau must be a multiple of dt"
 
     def setup(dt: float, n: int):
         skip = _burn_in_samples(dt, n, burn_in)
-        steps = _whole_steps(tau_grid, dt, "each tau")
+        steps = _whole_steps(tau_grid, dt, off_grid)
         if np.max(steps, initial=0) >= n - skip:   # in float, before the cast to int
             raise DomainError("tau exceeds the analysable trace length")
         lags = steps.astype(int)
@@ -120,7 +113,7 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
     dt, count, rows = _scan(traces, setup)
     estimates = [_ratio_estimate(x, rows[:, 0]) for x in rows[:, 1:].T]
     values, std_errors = np.array(estimates, dtype=float).reshape(-1, 2).T
-    return G2Estimate(tau=np.rint(tau_grid / dt).astype(int) * dt, values=values,
+    return G2Estimate(tau=_whole_steps(tau_grid, dt, off_grid) * dt, values=values,
                       std_errors=std_errors, ensemble_size=count)
 
 
@@ -143,12 +136,10 @@ def photon_counts(trace: FieldTrace, window_T: float) -> np.ndarray:
     counting stream trace_rng(master_seed, trace_index, _CHANNEL_COUNTS) alone.
     """
     if not (math.isfinite(window_T) and window_T >= trace.dt):
-        raise ConfigurationError(f"window_T must be finite and >= dt, got {window_T!r}")
+        raise DomainError(f"window_T must be finite and >= dt, got {window_T!r}")
     if trace.duration < 10.0 * window_T:
-        raise ConfigurationError("trace must be at least 10 windows long")
-    w = int(round(window_T / trace.dt))
-    if abs(w * trace.dt - window_T) > 1e-9 * window_T:
-        raise ConfigurationError("window_T must be an integer multiple of dt")
+        raise DomainError("trace must be at least 10 windows long")
+    w = int(_whole_steps(window_T, trace.dt, "window_T must be an integer multiple of dt"))
     intensity = trace.intensity()
     n_windows = (trace.n_samples - 1) // w
     idx = np.arange(n_windows + 1) * w
@@ -160,14 +151,14 @@ def photon_counts(trace: FieldTrace, window_T: float) -> np.ndarray:
 def intensity_samples(traces: Iterable[FieldTrace], spacing: float,
                       burn_in: float = 0.0) -> np.ndarray:
     """Instantaneous intensities every `spacing` seconds (one or more whole dt
-    steps, see _whole_steps) past burn_in, pooled over the ensemble."""
+    steps, and at least one per trace) past burn_in, pooled over the ensemble."""
     if not (math.isfinite(spacing) and spacing > 0):
         raise DomainError(f"spacing must be finite and > 0, got {spacing!r}")
     _check_burn_in(burn_in)
 
     def setup(dt: float, n: int):
         skip = _burn_in_samples(dt, n, burn_in)
-        step = int(min(_whole_steps(spacing, dt, "spacing"), n))   # n: one sample per trace
+        step = int(min(_whole_steps(spacing, dt, "spacing must be a multiple of dt"), n))
         if step < 1:
             raise DomainError(f"spacing {spacing!r} is below one dt step")
 
@@ -208,7 +199,7 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
             raise ConfigurationError(
                 f"trace too short for fwhm={f.fwhm:g}: burn-in {burn:g} exceeds half the duration"
             )
-        responses.append((response, int(round(burn / dt))))
+        responses.append((response, _burn_in_samples(dt, n, burn)))
 
     def moments(branch):
         # time-mean intensity and time-mean squared intensity past the

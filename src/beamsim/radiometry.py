@@ -5,13 +5,19 @@ All quantities are SI.  Temperatures produced by the inverse relations
 are the equivalent blackbody temperatures a filament would need to deliver
 the requested beam power after collimation, respectively after collimation
 plus Lorentzian spectral filtering.
+
+Every closed form returns a normal float: a result that overflows, or
+underflows below the smallest normal float, is a DomainError naming the
+quantity, never a traceback, an inf or a silent 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError
 
@@ -35,43 +41,56 @@ def _require_positive(**kwargs) -> None:
             raise DomainError(f"{name} must be a finite positive number, got {v!r}")
 
 
+def _in_range(quantity: str, form: Callable[[], float]) -> float:
+    """form(), the value of a positive closed form, if it is a normal float;
+    otherwise (overflow, including a division by an underflowed 0, or
+    underflow) a DomainError naming `quantity`."""
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise DomainError(f"{quantity} leaves the float range")
+    return value
+
+
 def mean_occupation(omega: float, T: float) -> float:
     """Planck mean photon number 1/(exp(hbar omega / k_B T) - 1)."""
     _require_positive(omega=omega, T=T)
     x = HBAR * omega / (K_B * T)
     # expm1 keeps the Rayleigh-Jeans limit accurate for x -> 0.
-    return 1.0 / math.expm1(x)
+    return _in_range("mean occupation", lambda: 1.0 / math.expm1(x))
 
 
 def radiated_power(A: float, T: float) -> float:
     """Total radiated power of a blackbody of area A at temperature T (Stefan-Boltzmann)."""
     _require_positive(A=A, T=T)
-    return STEFAN_BOLTZMANN_SIGMA * A * T**4
+    return _in_range("radiated power", lambda: STEFAN_BOLTZMANN_SIGMA * A * T**4)
 
 
 def wien_peak(T: float) -> float:
     """Wavelength of maximum spectral power, lambda_max = 2 pi hbar c / (x k_B T)."""
     _require_positive(T=T)
-    return WIEN_B / T
+    return _in_range("Wien peak", lambda: WIEN_B / T)
 
 
 def filament_area(P: float, lambda_max: float) -> float:
     """Radiating area implied by total power and peak wavelength, A = 2.37 P lambda_max^4 / (c^2 hbar)."""
     _require_positive(P=P, lambda_max=lambda_max)
-    return 2.37 * P * lambda_max**4 / (C**2 * HBAR)
+    return _in_range("filament area", lambda: 2.37 * P * lambda_max**4 / (C**2 * HBAR))
 
 
 def collimated_power(T: float) -> float:
     """Power in an ideally collimated, polarized single-transverse-mode thermal beam,
     (pi/12) (k_B T)^2 / hbar."""
     _require_positive(T=T)
-    return (math.pi / 12.0) * (K_B * T) ** 2 / HBAR
+    return _in_range("collimated power", lambda: (math.pi / 12.0) * (K_B * T) ** 2 / HBAR)
 
 
 def temperature_for_collimated_power(P: float) -> float:
     """Source temperature whose collimated beam carries power P (inverse of collimated_power)."""
     _require_positive(P=P)
-    return math.sqrt(12.0 * HBAR * P / math.pi) / K_B
+    return _in_range("collimated-beam T'", lambda: math.sqrt(12.0 * HBAR * P / math.pi) / K_B)
 
 
 def filtered_power(nu: float, omega0: float, Gamma: float) -> float:
@@ -85,21 +104,23 @@ def filtered_power(nu: float, omega0: float, Gamma: float) -> float:
             f"filtered_power assumes Gamma << omega0; got Gamma/omega0 = {Gamma / omega0:.3g}",
             stacklevel=2,
         )
-    return nu * HBAR * omega0 * Gamma / 4.0
+    if nu == 0:
+        return 0.0
+    return _in_range("filtered power", lambda: nu * HBAR * omega0 * Gamma / 4.0)
 
 
 def temperature_for_filtered_power(P: float, Gamma: float) -> float:
     """High-temperature-limit source temperature for a filtered beam of power P:
     T'' = 4 P / (k_B Gamma)."""
     _require_positive(P=P, Gamma=Gamma)
-    return 4.0 * P / (K_B * Gamma)
+    return _in_range("filtered-beam T''", lambda: 4.0 * P / (K_B * Gamma))
 
 
 def photons_per_coherence_time(P: float, lambda0: float, Gamma: float) -> float:
     """Dimensionless beam brightness nu = 4 P / (hbar omega0 Gamma)."""
     _require_positive(P=P, lambda0=lambda0, Gamma=Gamma)
     omega0 = 2.0 * math.pi * C / lambda0
-    return 4.0 * P / (HBAR * omega0 * Gamma)
+    return _in_range("nu, photons per coherence time,", lambda: 4.0 * P / (HBAR * omega0 * Gamma))
 
 
 @dataclass(frozen=True)
@@ -121,8 +142,9 @@ def collimation_efficiency(P: float, A: float) -> CollimationEfficiency:
     _require_positive(P=P, A=A)
     T_prime = temperature_for_collimated_power(P)
     lam = wien_peak(T_prime)
-    approx = lam**2 / A
-    exact = collimated_power(T_prime) / radiated_power(A, T_prime)
+    approx = _in_range("approximate collimation efficiency", lambda: lam**2 / A)
+    exact = _in_range("exact collimation efficiency",
+                      lambda: collimated_power(T_prime) / radiated_power(A, T_prime))
     return CollimationEfficiency(approximate=approx, exact=exact, temperature=T_prime, lambda_max=lam)
 
 
@@ -168,16 +190,16 @@ def filtering_efficiency(P: float, A: float, Gamma: float,
     T_pp = temperature_for_filtered_power(P, Gamma)
     lam_pp = wien_peak(T_pp)
     omega_pp = 2.0 * math.pi * C / lam_pp
-    total = (lam_pp**2 / A) * (Gamma / omega_pp)
-    geometric = lambda0**2 / A
-    spectral = Gamma / omega0
-    brightness = nu**-3
+    total = _in_range("total filtering efficiency", lambda: (lam_pp**2 / A) * (Gamma / omega_pp))
+    geometric = _in_range("geometric filtering factor", lambda: lambda0**2 / A)
+    spectral = _in_range("spectral filtering factor", lambda: Gamma / omega0)
+    brightness = _in_range("brightness filtering factor", lambda: nu**-3)
     return FilteringEfficiency(
         total=total,
         geometric=geometric,
         spectral=spectral,
         brightness=brightness,
         nu=nu,
-        product=geometric * spectral * brightness,
+        product=_in_range("filtering factor product", lambda: geometric * spectral * brightness),
         temperature=T_pp,
     )

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fieldgen import Ensemble, FieldTrace, _mode_grid, lorentzian
+from .fieldgen import Ensemble, FieldTrace, _mode_grid, _whole_steps, lorentzian
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +96,10 @@ def _fft_bin(dt: float, n: int, detuning: float) -> int:
     """Unshifted DFT bin index for an on-grid detuning."""
     if not math.isfinite(detuning):
         raise DomainError(f"detuning must be finite, got {detuning!r}")
-    duration = n * dt
-    l = int(round(detuning * duration / math.tau))
-    if abs(l * math.tau / duration - detuning) > 1e-6 * max(abs(detuning), math.tau / duration):
-        raise DomainError(f"detuning {detuning:g} is not on the trace grid")
-    if not (-(n // 2) <= l <= (n - 1) // 2):
+    l = _whole_steps(detuning, math.tau / (n * dt), f"detuning {detuning:g} is not on the trace grid")
+    if not (-(n // 2) <= l <= (n - 1) // 2):   # in float, before the cast to int
         raise DomainError(f"detuning {detuning:g} beyond the Nyquist band")
-    return l % n
+    return int(l) % n
 
 
 def _amplitude_transform(samples: np.ndarray, dt: float, bins=slice(None)) -> np.ndarray:
@@ -256,11 +253,12 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
             else:
                 if count == 0:
                     rows, shift = np.zeros((3, block_rows.shape[1])), block_rows[0].copy()
-                for values in block_rows:
-                    rows[0] += values
-                    d = values - shift
-                    rows[1] += d
-                    rows[2] += d * d
+                with np.errstate(over="ignore", invalid="ignore"):   # an overflow gives inf or NaN
+                    for values in block_rows:
+                        rows[0] += values
+                        d = values - shift
+                        rows[1] += d
+                        rows[2] += d * d
             count += len(block_rows)
     if count < least:
         raise DomainError(f"need at least {least} traces")
@@ -271,7 +269,8 @@ def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
     """Ensemble-averaged periodogram with per-bin Monte Carlo standard errors."""
     dt, count, (total, shifted, shifted_sq) = _scan(
         traces, lambda dt, n: functools.partial(_power, dt=dt), least=2, fold=True)
-    var = np.maximum(shifted_sq - shifted**2 / count, 0.0) / (count - 1)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow gives inf or NaN
+        var = np.maximum(shifted_sq - shifted**2 / count, 0.0) / (count - 1)
     return _sorted_estimate(dt, total / count, np.sqrt(var / count), count)
 
 

@@ -74,6 +74,26 @@ class TestBlackbody:
     def test_bad_value_exit_code(self):
         assert run("blackbody", "--power", "-1") == 3
 
+    @pytest.mark.parametrize("flag, value, quantity", [
+        ("--wavelength", "1e-300", "nu, photons per coherence time,"),
+        ("--wavelength", "1e300", "nu, photons per coherence time,"),
+        ("--bandwidth", "1e300", "total filtering efficiency"),
+        ("--power", "1e300", "approximate collimation efficiency"),
+        ("--area", "1e300", "approximate collimation efficiency"),
+    ])
+    def test_a_result_past_the_float_range_is_named(self, capsys, tmp_path, flag, value,
+                                                     quantity):
+        """Finite, positive inputs whose report leaves the float range exit 3
+        naming the quantity, with nothing written: no traceback (exit 1), no
+        bare "math domain error"."""
+        out = tmp_path / "report.csv"
+        for argv in (("blackbody", flag, value), ("blackbody", flag, value, "--out", str(out))):
+            assert run(*argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {quantity} leaves the float range\n"
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_missing_required_flags(self):
@@ -671,6 +691,39 @@ class TestQslbVerdict:
             assert (r["stationarity_p"], r["periodogram_p"]) == (p_stationarity, p_periodogram)
             assert (r["stationarity_passed"], r["periodogram_passed"]) == passed
             assert r["verdict"] == verdict
+
+
+class TestNonFiniteOutput:
+    """No command writes a NaN or an infinity: JSON has no token for them and
+    the CSV would not read back.  Each case exits 3 with nothing on stdout and
+    no --out file; numpy's overflow warnings are errors here (pyproject.toml),
+    so the overflow itself must not warn."""
+
+    CASES = {
+        # the delta method's variance of I^2 overflows
+        "g2": ("g2", "--family", "thermal", "--nu", "1e80", "--gamma", "1", "--dt", "0.01",
+               "--duration", "10", "--seed", "1", "--traces", "4", "--taus", "0,0.01"),
+        # the squared differences of the periodograms overflow
+        "spectrum": ("spectrum", "--family", "thermal", "--nu", "1e300", "--gamma", "1",
+                     "--dt", "0.01", "--duration", "1", "--seed", "1", "--traces", "4"),
+        # an infinite correlation time is a valid model, but not a writable config value
+        "config": ("g2", "--family", "jittered_laser", "--jitter-band", "100",
+                   "--jitter-corr-time", "inf", "--nu", "1", "--gamma", "1", "--dt", "0.001",
+                   "--duration", "2", "--seed", "1", "--traces", "2"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_nothing_is_written(self, capsys, tmp_path, case, fmt):
+        out = tmp_path / "out"
+        argv = (*self.CASES[case], "--format", fmt)
+        for extra in ((), ("--out", str(out))):
+            assert run(*argv, *extra) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: the output would hold a NaN or an infinity; "
+                                    "nothing was written\n")
+        assert not out.exists()
 
 
 class TestOutputFormats:

@@ -13,6 +13,7 @@ from beamsim.fieldgen import (
     FAMILIES,
     _GENERATORS,
     _ou_step_coefficients,
+    _whole_steps,
     generate_ensemble,
     generate_trace,
     lorentzian,
@@ -328,6 +329,26 @@ class TestPeriodicThermal:
             target = 25.0 * math.exp(-lag * 0.01 / 2.0)
             sigma = v.std(ddof=1) / math.sqrt(v.size)
             assert abs(v.mean() - target) < 3.0 * sigma
+
+
+class TestWholeSteps:
+    """The one rule that turns durations, lags, spacings, count windows and
+    detunings into grid steps."""
+
+    def test_signed_values_within_the_tolerance(self):
+        steps = _whole_steps(np.array([0.0, 0.03, -0.03, 0.0100000001, -1e-9]), 0.01, "off")
+        assert steps.tolist() == [0.0, 3.0, -3.0, 1.0, 0.0]
+        assert steps.dtype == np.float64
+
+    @pytest.mark.parametrize("value", [0.0123, -0.0123, 0.01000002, -0.01000002, 2e-8])
+    def test_off_the_grid_raises_the_callers_message(self, value):
+        # the tolerance is 1e-6 max(|value|, step): 2e-8 of a 0.01 step is too far
+        with pytest.raises(DomainError, match="^the caller's own words$"):
+            _whole_steps(value, 0.01, "the caller's own words")
+
+    def test_an_infinite_count_is_left_to_the_caller(self):
+        assert _whole_steps(1e300, 1e-300, "off") == math.inf
+        assert _whole_steps(np.array([0.0, 1e300]), 0.01, "off")[1] == 1e302
 
 
 class TestFieldTrace:

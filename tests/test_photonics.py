@@ -240,14 +240,25 @@ class TestPhotonCounts:
 
     def test_validation(self):
         trace = next(generate_ensemble(LASER, 0.01, 2000, 1, 1))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             photon_counts(trace, window_T=0.005)     # below dt
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             photon_counts(trace, window_T=0.0123)    # not a multiple of dt
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             photon_counts(trace, window_T=10.0)      # fewer than 10 windows
-        with pytest.raises(ConfigurationError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             photon_counts(trace, window_T=math.nan)
+
+    def test_a_window_within_the_whole_step_rule_is_whole_steps(self):
+        """The one whole-step rule, as for a g2 lag: 0.0100000001 at dt = 0.01
+        is one step, and counts exactly as a window of 0.01 does; 2e-6 of a
+        step off is not."""
+        trace = next(generate_ensemble(THERMAL, 0.01, 2000, 3, 1))
+        assert np.array_equal(photon_counts(trace, 0.0100000001), photon_counts(trace, 0.01))
+        assert np.array_equal(photon_counts(trace, 0.0499999999), photon_counts(trace, 0.05))
+        assert g2([trace], [0.0100000001]).tau[0] == 0.01
+        with pytest.raises(DomainError, match="window_T must be an integer multiple of dt"):
+            photon_counts(trace, 0.01000002)
 
 
 class TestFanoFactor:

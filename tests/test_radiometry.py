@@ -1,6 +1,7 @@
 """Unit tests for the closed-form radiometry module."""
 
 import math
+import re
 
 import pytest
 
@@ -240,3 +241,48 @@ class TestPhotonsPerCoherenceTime:
     def test_inverse_linear_in_linewidth(self):
         assert photons_per_coherence_time(0.1, 1e-6, 4e7) == pytest.approx(
             photons_per_coherence_time(0.1, 1e-6, 1e7) / 4.0, rel=1e-12)
+
+
+class TestFloatRange:
+    """A closed form whose result overflows, or underflows below the smallest
+    normal float, raises a DomainError naming the quantity: never an
+    OverflowError, a ZeroDivisionError, an inf or a silent 0."""
+
+    # the blackbody command's inputs, one pushed out of range per case
+    @pytest.mark.parametrize("form, args, quantity", [
+        # --wavelength 1e-300: omega0 overflows, nu underflows (was ZeroDivisionError at nu**-3)
+        (filtering_efficiency, (0.1, 15e-6, 1e7, 1e-300), "nu, photons per coherence time,"),
+        # --wavelength 1e300: hbar omega0 underflows to 0 (was ZeroDivisionError)
+        (photons_per_coherence_time, (0.1, 1e300, 1e7), "nu, photons per coherence time,"),
+        # --bandwidth 1e300: lambda''_max^2 overflows (was OverflowError)
+        (filtering_efficiency, (0.1, 15e-6, 1e300, 1e-6),
+         "total filtering efficiency"),
+        # --power 1e300: lambda'_max^2 / A underflows first, T'^4 overflows (was OverflowError)
+        (collimation_efficiency, (1e300, 15e-6), "approximate collimation efficiency"),
+        (radiated_power, (15e-6, temperature_for_collimated_power(1e300)),
+         "radiated power"),
+        # --area 1e300: the efficiencies underflow (was "math domain error" from log10(0))
+        (collimation_efficiency, (0.1, 1e300), "approximate collimation efficiency"),
+        (filtering_efficiency, (0.1, 1e300, 1e7, 1e-6),
+         "total filtering efficiency"),
+    ])
+    def test_blackbody_inputs(self, form, args, quantity):
+        with pytest.raises(DomainError) as exc:
+            form(*args)
+        assert str(exc.value) == f"{quantity} leaves the float range"
+
+    @pytest.mark.parametrize("form, args, quantity", [
+        (mean_occupation, (1e20, 1.0), "mean occupation"),               # exp overflows
+        (mean_occupation, (1e-300, 1e300), "mean occupation"),           # 1/x overflows
+        (wien_peak, (1e-312,), "Wien peak"),
+        (filament_area, (1.0, 1e100), "filament area"),
+        (collimated_power, (1e200,), "collimated power"),
+        (filtered_power, (1e-300, 1e15, 1e-30), "filtered power"),       # underflows to 0
+        (temperature_for_filtered_power, (1e-300, 1e300), "filtered-beam T''"),
+    ])
+    def test_every_closed_form(self, form, args, quantity):
+        with pytest.raises(DomainError, match=re.escape(quantity)):
+            form(*args)
+
+    def test_a_dark_beam_still_carries_no_power(self):
+        assert filtered_power(0.0, 1e15, 1e7) == 0.0

@@ -182,6 +182,26 @@ class TestPeriodogramDistribution:
                 generate_ensemble(THERMAL, 0.01, 2000, 5, 2),
                 detuning=TWO_PI / 0.01)
 
+    def test_off_grid_detuning_message(self):
+        """The grid is 2 pi / 20 s apart; a third of a step off is named."""
+        with pytest.raises(DomainError, match=r"^detuning 0\.1 is not on the trace grid$"):
+            periodogram_bin_values(generate_ensemble(THERMAL, 0.01, 2000, 5, 2), detuning=0.1)
+
+    def test_negative_on_grid_detuning(self):
+        """Bins below zero, down to the most negative (-n/2), are accepted
+        within the rule's tolerance; the sorted grid starts at bin -1000."""
+        traces = list(generate_ensemble(THERMAL, 0.01, 2000, 5, 2))
+        for bin_ in (-1, -7, -1000):
+            values = periodogram_bin_values(traces, detuning=bin_ * TWO_PI / 20.0 * (1 + 1e-9))
+            expected = [periodogram(t).values[bin_ + 1000] for t in traces]
+            assert values.tolist() == pytest.approx(expected, rel=1e-12)
+
+    def test_a_detuning_whose_bin_count_overflows_is_beyond_nyquist(self):
+        # detuning * duration / 2 pi is past the float range: no OverflowError
+        model = BeamModelSpec(family="laser", nu=1.0, gamma=1e-10)
+        with pytest.raises(DomainError, match="beyond the Nyquist band"):
+            periodogram_bin_values(generate_ensemble(model, 1e8, 2, 1, 1), detuning=1e301)
+
 
 class TestCrossModeCorrelation:
     def test_prediction_matches_exact_oracle(self):
@@ -247,6 +267,12 @@ class TestCrossModeCorrelation:
     def test_empty_pairs_rejected(self):
         with pytest.raises(DomainError):
             cross_mode_correlation(generate_ensemble(THERMAL, 0.01, 2000, 1, 2), [])
+
+    def test_off_grid_detuning_rejected(self):
+        d_omega = TWO_PI / 20.0
+        with pytest.raises(DomainError, match="detuning 0.5 is not on the trace grid"):
+            cross_mode_correlation(generate_ensemble(THERMAL, 0.01, 2000, 1, 2),
+                                   [(0.0, -d_omega), (0.5, 0.0)])
 
     def test_non_finite_detuning_rejected(self):
         with pytest.raises(DomainError, match="detuning must be finite"):
