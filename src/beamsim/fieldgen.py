@@ -125,13 +125,13 @@ class BeamModelSpec:
                                   f"jittered_laser, not {self.family!r}")
         elif self.jitter_band < 0 or not math.isfinite(self.jitter_band):
             raise DomainError("jitter_band must be finite and >= 0")
-        elif self.jitter_band > 0:
-            if self.jitter_band <= self.gamma:
-                raise DomainError(
-                    "jittered_laser requires jitter_band > gamma (or exactly 0 for the degenerate case)"
-                )
-            if self.jitter_corr_time is None or not self.jitter_corr_time > 1.0 / self.gamma:
-                raise DomainError("jittered_laser requires jitter_corr_time > 1/gamma")
+        elif 0 < self.jitter_band <= self.gamma:
+            raise DomainError(
+                "jittered_laser requires jitter_band > gamma (or exactly 0 for the degenerate case)"
+            )
+        elif self.jitter_band > 0 or self.jitter_corr_time is not None:
+            if self.jitter_corr_time is None or not 1.0 / self.gamma < self.jitter_corr_time < math.inf:
+                raise DomainError("jittered_laser requires a finite jitter_corr_time > 1/gamma")
 
     @property
     def mean_flux(self) -> float:

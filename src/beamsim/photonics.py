@@ -91,26 +91,24 @@ def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
     _check_burn_in(burn_in)
     off_grid = "each tau must be a multiple of dt"
 
-    def setup(dt: float, n: int):
+    def row(block, dt):
+        n = block.shape[1]
         skip = _burn_in_samples(dt, n, burn_in)
         steps = _whole_steps(tau_grid, dt, off_grid)
         if np.max(steps, initial=0) >= n - skip:   # in float, before the cast to int
             raise DomainError("tau exceeds the analysable trace length")
-        lags = steps.astype(int)
-
-        def row(block):
-            # time-mean intensity, then the time-mean of I(t) I(t+tau) per lag
+        # time-mean intensity, then the time-mean of I(t) I(t+tau) per lag
+        out = np.empty((len(block), 1 + len(steps)))
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow gives inf or NaN
             intensity = (block.real**2 + block.imag**2)[:, skip:]
-            out = np.empty((len(block), 1 + len(lags)))
             out[:, 0] = intensity.mean(axis=1)
-            for j, lag in enumerate(lags, 1):
+            for j, lag in enumerate(steps.astype(int), 1):
                 product = (intensity * intensity if lag == 0
                            else intensity[:, :-lag] * intensity[:, lag:])
                 out[:, j] = product.mean(axis=1)
-            return out
-        return row
+        return out
 
-    dt, count, rows = _scan(traces, setup)
+    dt, count, rows = _scan(traces, row)
     estimates = [_ratio_estimate(x, rows[:, 0]) for x in rows[:, 1:].T]
     values, std_errors = np.array(estimates, dtype=float).reshape(-1, 2).T
     return G2Estimate(tau=_whole_steps(tau_grid, dt, off_grid) * dt, values=values,
@@ -135,11 +133,13 @@ def photon_counts(trace: FieldTrace, window_T: float) -> np.ndarray:
     mean equal to the trapezoidal integral of |alpha|^2, from the trace's
     counting stream trace_rng(master_seed, trace_index, _CHANNEL_COUNTS) alone.
     """
-    if not (math.isfinite(window_T) and window_T >= trace.dt):
-        raise DomainError(f"window_T must be finite and >= dt, got {window_T!r}")
+    if not (math.isfinite(window_T) and window_T > 0):
+        raise DomainError(f"window_T must be finite and > 0, got {window_T!r}")
     if trace.duration < 10.0 * window_T:
         raise DomainError("trace must be at least 10 windows long")
     w = int(_whole_steps(window_T, trace.dt, "window_T must be an integer multiple of dt"))
+    if w < 1:
+        raise DomainError(f"window_T {window_T!r} is below one dt step")
     intensity = trace.intensity()
     n_windows = (trace.n_samples - 1) // w
     idx = np.arange(n_windows + 1) * w
@@ -156,18 +156,16 @@ def intensity_samples(traces: Iterable[FieldTrace], spacing: float,
         raise DomainError(f"spacing must be finite and > 0, got {spacing!r}")
     _check_burn_in(burn_in)
 
-    def setup(dt: float, n: int):
+    def row(block, dt):
+        n = block.shape[1]
         skip = _burn_in_samples(dt, n, burn_in)
         step = int(min(_whole_steps(spacing, dt, "spacing must be a multiple of dt"), n))
         if step < 1:
             raise DomainError(f"spacing {spacing!r} is below one dt step")
+        sampled = block[:, skip::step]
+        return sampled.real**2 + sampled.imag**2
 
-        def row(block):
-            sampled = block[:, skip::step]
-            return sampled.real**2 + sampled.imag**2
-        return row
-
-    return _scan(traces, setup)[2].ravel()
+    return _scan(traces, row)[2].ravel()
 
 
 @dataclass(frozen=True)

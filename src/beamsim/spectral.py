@@ -137,8 +137,6 @@ def _check_same_grid(trace: FieldTrace, dt: float, n: int) -> None:
         raise DomainError("ensemble traces must share one time grid")
 
 
-RowSetup = Callable[[float, int], Callable[[np.ndarray], np.ndarray]]
-
 # Rows are computed on one shared thread pool of one worker per usable core:
 # the normal draws, lfilter, the FFTs and large ufuncs release the GIL.
 # Results are consumed in trace order, so no output depends on the count.
@@ -203,18 +201,20 @@ def _ordered_map(fn: Callable, items: Iterable, window: int | None = None) -> It
         wait(pending)
 
 
-def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
-          fold: bool = False) -> tuple[float, int, np.ndarray]:
+def _scan(traces: Iterable[FieldTrace], row: Callable[[np.ndarray, float], np.ndarray],
+          least: int = 1, fold: bool = False) -> tuple[float, int, np.ndarray]:
     """One pass over an ensemble: the reduction core of every estimator.
 
     The first trace fixes the time grid (dt, n); every later trace must share
-    it.  `setup(dt, n)` runs once on that grid and returns `row`, which turns
-    a (k, n) block of traces into a (k, width) block of rows of numbers.
-    Rows are stacked into a (traces, width) matrix, or with `fold` summed
-    into a (3, width) matrix, so that wide rows (a whole periodogram) are
-    never kept per trace: sums, and sums and sums of squares of differences
-    from the first row (a variance without cancellation).  Returns (dt,
-    number of traces, matrix).
+    it.  `row(block, dt)` turns a (k, n) block of traces into a (k, width)
+    block of rows of numbers, working out its grid constants from dt and n.
+    It runs on the first trace in the calling thread, so a grid error (an
+    off-grid or too long lag, say) raises there, before any block is
+    submitted to the pool.  Rows are stacked into a (traces, width) matrix,
+    or with `fold` summed into a (3, width) matrix, so that wide rows (a
+    whole periodogram) are never kept per trace: sums, and sums and sums of
+    squares of differences from the first row (a variance without
+    cancellation).  Returns (dt, number of traces, matrix).
 
     Later traces go through `row` in one of two ways.  An `Ensemble` is
     generated on the shared pool in blocks of consecutive traces, one task
@@ -230,19 +230,18 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
     if first is None:
         raise DomainError("empty ensemble")
     dt, n = first.dt, first.n_samples
-    row = setup(dt, n)
-    first_rows = row(first.samples[np.newaxis])
+    first_rows = row(first.samples[np.newaxis], dt)
     del first   # a trace can be large: do not hold it through the scan
     if isinstance(traces, Ensemble):
         per_block, window = _chunking(n)
         rest, make_block = traces.take_rest(), traces.make_block
         items = (rest[i:i + per_block] for i in range(0, len(rest), per_block))
         def fn(indices: range) -> np.ndarray:
-            return row(make_block(indices))
+            return row(make_block(indices), dt)
     else:
         def fn(trace: FieldTrace) -> np.ndarray:
             _check_same_grid(trace, dt, n)
-            return row(trace.samples[np.newaxis])   # a one-trace block is a view
+            return row(trace.samples[np.newaxis], dt)   # a one-trace block is a view
         items, window = traces, 1
     rows: list | np.ndarray = []
     count = 0
@@ -267,32 +266,28 @@ def _scan(traces: Iterable[FieldTrace], setup: RowSetup, least: int = 1,
 
 def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
     """Ensemble-averaged periodogram with per-bin Monte Carlo standard errors."""
-    dt, count, (total, shifted, shifted_sq) = _scan(
-        traces, lambda dt, n: functools.partial(_power, dt=dt), least=2, fold=True)
+    dt, count, (total, shifted, shifted_sq) = _scan(traces, _power, least=2, fold=True)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow gives inf or NaN
         var = np.maximum(shifted_sq - shifted**2 / count, 0.0) / (count - 1)
     return _sorted_estimate(dt, total / count, np.sqrt(var / count), count)
 
 
-def _pair_products(pairs: Sequence[tuple[float, float]]) -> RowSetup:
-    """Row setup of u~(k) u~*(k') of each trace for each detuning pair: the
-    one rule that turns DFT bins into per-trace numbers.  A diagonal pair
-    (d, d) holds the bin's power |u~(d)|^2 in its real part, bit for bit
+def _pair_products(pairs: Sequence[tuple[float, float]]):
+    """Row of u~(k) u~*(k') of each trace for each detuning pair: the one
+    rule that turns DFT bins into per-trace numbers.  A diagonal pair (d, d)
+    holds the bin's power |u~(d)|^2 in its real part, bit for bit
     (re re - im (-im) is re^2 + im^2), and an exact zero imaginary part."""
-    def setup(dt: float, n: int):
-        bins = [_fft_bin(dt, n, k) for pair in pairs for k in pair]
-
-        def row(block):
-            u = _amplitude_transform(block, dt, bins)
-            a, b = u[:, 0::2], np.conj(u[:, 1::2])
-            # in real arithmetic, rounded as the product of two complex
-            # scalars is: numpy's complex array product may fuse multiply-adds
-            products = np.empty(a.shape, np.complex128)
-            products.real = a.real * b.real - a.imag * b.imag
-            products.imag = a.real * b.imag + a.imag * b.real
-            return products
-        return row
-    return setup
+    def row(block, dt):
+        bins = [_fft_bin(dt, block.shape[1], k) for pair in pairs for k in pair]
+        u = _amplitude_transform(block, dt, bins)
+        a, b = u[:, 0::2], np.conj(u[:, 1::2])
+        # in real arithmetic, rounded as the product of two complex
+        # scalars is: numpy's complex array product may fuse multiply-adds
+        products = np.empty(a.shape, np.complex128)
+        products.real = a.real * b.real - a.imag * b.imag
+        products.imag = a.real * b.imag + a.imag * b.real
+        return products
+    return row
 
 
 def periodogram_bin_values(traces: Iterable[FieldTrace], detuning: float) -> np.ndarray:
@@ -356,20 +351,17 @@ def predicted_cross_mode_correlation(nu: float, gamma: float, duration: float,
     return complex(diag - correction)
 
 
-def _window_means(n_windows: int) -> RowSetup:
+def _window_means(n_windows: int):
     if n_windows < 4:
         raise DomainError("need n_windows >= 4")
 
-    def setup(dt: float, n: int):
-        if n < n_windows:
+    def row(block, dt):
+        if block.shape[1] < n_windows:
             raise DomainError("trace shorter than n_windows samples")
-        w = n // n_windows
-
-        def row(block):
-            intensity = block.real**2 + block.imag**2
-            return intensity[:, :w * n_windows].reshape(len(block), n_windows, w).mean(axis=2)
-        return row
-    return setup
+        w = block.shape[1] // n_windows
+        intensity = block.real**2 + block.imag**2
+        return intensity[:, :w * n_windows].reshape(len(block), n_windows, w).mean(axis=2)
+    return row
 
 
 def windowed_mean_intensities(traces: Iterable[FieldTrace], n_windows: int) -> np.ndarray:
@@ -383,12 +375,8 @@ def windowed_means_and_carrier_powers(traces: Iterable[FieldTrace],
     """windowed_mean_intensities(traces, n_windows) and
     periodogram_bin_values(traces, 0.0) from a single pass over the ensemble."""
     windows, carrier = _window_means(n_windows), _pair_products([(0.0, 0.0)])
-
-    def setup(dt: float, n: int):
-        window_row, carrier_row = windows(dt, n), carrier(dt, n)
-        return lambda block: np.concatenate([window_row(block), carrier_row(block).real], axis=1)
-
-    rows = _scan(traces, setup)[2]
+    rows = _scan(traces, lambda block, dt: np.concatenate(
+        [windows(block, dt), carrier(block, dt).real], axis=1))[2]
     return np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
 
 

@@ -706,10 +706,9 @@ class TestNonFiniteOutput:
         # the squared differences of the periodograms overflow
         "spectrum": ("spectrum", "--family", "thermal", "--nu", "1e300", "--gamma", "1",
                      "--dt", "0.01", "--duration", "1", "--seed", "1", "--traces", "4"),
-        # an infinite correlation time is a valid model, but not a writable config value
-        "config": ("g2", "--family", "jittered_laser", "--jitter-band", "100",
-                   "--jitter-corr-time", "inf", "--nu", "1", "--gamma", "1", "--dt", "0.001",
-                   "--duration", "2", "--seed", "1", "--traces", "2"),
+        # I^2 overflows in the rows, the pool workers' among them
+        "g2-rows": ("g2", "--family", "thermal", "--nu", "1e160", "--gamma", "1", "--dt", "0.01",
+                    "--duration", "10", "--seed", "1", "--traces", "4", "--taus", "0"),
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -723,6 +722,18 @@ class TestNonFiniteOutput:
             assert captured.out == ""
             assert captured.err == ("error: the output would hold a NaN or an infinity; "
                                     "nothing was written\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("band", ["0", "100"])
+    @pytest.mark.parametrize("corr_time", ["inf", "nan", "-5"])
+    def test_a_bad_correlation_time_writes_no_trace(self, capsys, tmp_path, band, corr_time):
+        """The model rejects it before any draw, so no .ftrc header holds a NaN."""
+        out = tmp_path / "traces"
+        assert run("simulate", "--family", "jittered_laser", "--jitter-band", band,
+                   "--jitter-corr-time", corr_time, "--nu", "1", "--gamma", "1", "--dt", "0.001",
+                   "--duration", "2", "--seed", "1", "--traces", "2", "--out", str(out)) == 3
+        assert capsys.readouterr().err == ("error: jittered_laser requires a finite "
+                                           "jitter_corr_time > 1/gamma\n")
         assert not out.exists()
 
 

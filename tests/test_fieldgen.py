@@ -57,6 +57,19 @@ class TestModelSpec:
         # zero band is the allowed degenerate case
         BeamModelSpec(family="jittered_laser", nu=1.0, gamma=1.0, jitter_band=0.0)
 
+    @pytest.mark.parametrize("band", [0.0, 100.0])
+    @pytest.mark.parametrize("corr_time", [math.inf, math.nan, -5.0])
+    def test_jitter_corr_time_is_finite_and_above_1_over_gamma_at_any_band(
+            self, monkeypatch, band, corr_time):
+        def no_draws(*args):
+            raise AssertionError("a trace was drawn")
+
+        monkeypatch.setattr(fieldgen, "trace_rng", no_draws)
+        with pytest.raises(DomainError, match="finite jitter_corr_time > 1/gamma"):
+            generate_trace(BeamModelSpec(family="jittered_laser", nu=1.0, gamma=1.0,
+                                         jitter_band=band, jitter_corr_time=corr_time),
+                           0.001, 2000, 1)
+
     @pytest.mark.parametrize("band", [-1.0, math.inf])
     def test_rejects_a_negative_or_infinite_jitter_band(self, band):
         with pytest.raises(DomainError, match="jitter_band must be finite and >= 0"):

@@ -248,13 +248,16 @@ class TestPhotonCounts:
             photon_counts(trace, window_T=10.0)      # fewer than 10 windows
         with pytest.raises(DomainError, match="finite"):
             photon_counts(trace, window_T=math.nan)
+        with pytest.raises(DomainError, match="below one dt step"):
+            photon_counts(trace, window_T=1e-12)
 
     def test_a_window_within_the_whole_step_rule_is_whole_steps(self):
-        """The one whole-step rule, as for a g2 lag: 0.0100000001 at dt = 0.01
-        is one step, and counts exactly as a window of 0.01 does; 2e-6 of a
-        step off is not."""
+        """The one whole-step rule, as for a g2 lag: 0.0100000001 and
+        0.0099999999 at dt = 0.01 are one step, and count exactly as a window
+        of 0.01 does; 2e-6 of a step off is not."""
         trace = next(generate_ensemble(THERMAL, 0.01, 2000, 3, 1))
         assert np.array_equal(photon_counts(trace, 0.0100000001), photon_counts(trace, 0.01))
+        assert np.array_equal(photon_counts(trace, 0.0099999999), photon_counts(trace, 0.01))
         assert np.array_equal(photon_counts(trace, 0.0499999999), photon_counts(trace, 0.05))
         assert g2([trace], [0.0100000001]).tau[0] == 0.01
         with pytest.raises(DomainError, match="window_T must be an integer multiple of dt"):

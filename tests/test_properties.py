@@ -99,7 +99,7 @@ def test_parseval(block, dt):
     # bit, and the imaginary part is exactly zero
     n = block.shape[1]
     b = n // 2
-    products = _pair_products([(_mode_grid(dt, n)[b],) * 2])(dt, n)(block)
+    products = _pair_products([(_mode_grid(dt, n)[b],) * 2])(block, dt)
     np.testing.assert_array_equal(products.real, _power(block, dt)[:, b:b + 1])
     assert not np.any(products.imag)
 

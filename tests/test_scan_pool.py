@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from beamsim import photonics, spectral
+from beamsim import fieldgen, photonics, spectral
 from beamsim.errors import DomainError
 from beamsim.fieldgen import (
     FAMILIES,
@@ -25,6 +25,7 @@ from beamsim.photonics import FilterSpec, apply_filter, filtered_laser_sweep, g2
 from beamsim.spectral import (
     cross_mode_correlation,
     spectrum,
+    windowed_mean_intensities,
     windowed_means_and_carrier_powers,
 )
 from beamsim.traceio import read_trace, write_trace
@@ -151,6 +152,27 @@ def test_traces_too_large_for_two_blocks_in_flight_run_serially(monkeypatch):
     monkeypatch.setattr(spectral, "_BLOCK_BYTES", (2 * 16 * N - 1) // 16)
     est = spectrum(generate_ensemble(THERMAL, DT, N, SEED, TRACES))
     assert est.ensemble_size == TRACES
+
+
+@pytest.mark.parametrize("estimate, message", [
+    (lambda traces: g2(traces, [N * DT]), "tau exceeds the analysable trace length"),
+    (lambda traces: g2(traces, [0.0], burn_in=N * DT), "burn_in leaves no samples"),
+    (lambda traces: windowed_mean_intensities(traces, N + 1), "trace shorter than n_windows"),
+    (lambda traces: cross_mode_correlation(traces, [(STEP / 2, STEP / 2)]), "not on the trace grid"),
+    (lambda traces: intensity_samples(traces, 1e-12), "below one dt step"),
+], ids=["g2 tau", "g2 burn-in", "windows", "detuning", "spacing"])
+def test_grid_errors_raise_at_the_first_trace_in_the_calling_thread(monkeypatch, estimate,
+                                                                    message):
+    """The first trace's row raises a grid error before any block is made or
+    submitted to the pool."""
+    made = []
+    draw = fieldgen.trace_rng
+    monkeypatch.setattr(fieldgen, "trace_rng", lambda *args: made.append(args[1]) or draw(*args))
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_executor", no_pool)
+    with pytest.raises(DomainError, match=message):
+        estimate(generate_ensemble(THERMAL, DT, N, SEED, TRACES))
+    assert made == [0]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
