@@ -219,28 +219,53 @@ def _ou_step_coefficients(nu: float, gamma: float, dt: float) -> tuple[float, fl
 # for any block.  The recursions, FFTs and exponentials then run once over the
 # whole block; each row comes out bit for bit as it does in a block of one.
 
-def _complex_normals(master_seed: int, indices: range, n: int) -> np.ndarray:
-    """n unit-variance complex normals per trace: n real parts drawn first,
-    then n imaginary parts."""
+def _normal_draws(master_seed: int, indices: range, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n real then n imaginary unit normals per trace, as two contiguous real blocks."""
     re = np.empty((len(indices), n))
     im = np.empty((len(indices), n))
     for r, index in enumerate(indices):
         rng = trace_rng(master_seed, index)
         rng.standard_normal(out=re[r])
         rng.standard_normal(out=im[r])
-    return (re + 1j * im) / math.sqrt(2.0)
+    return re, im
+
+
+def _complex_normals(master_seed: int, indices: range, n: int) -> np.ndarray:
+    """n unit-variance complex normals per trace: each part's draws times
+    1/sqrt(2), written into the .real and .imag views of one complex block
+    (numpy divides a complex by a real scalar as this multiply, bit for bit)."""
+    out = np.empty((len(indices), n), dtype=np.complex128)
+    for part, view in zip(_normal_draws(master_seed, indices, n), (out.real, out.imag)):
+        np.multiply(part, 1.0 / math.sqrt(2.0), out=view)
+    return out
 
 
 def _thermal(model: BeamModelSpec, dt: float, n: int, master_seed: int,
              indices: range) -> np.ndarray:
-    """Exact-discretization complex OU process with kernel exp(-Gamma tau / 2)."""
+    """Exact-discretization complex OU process with kernel exp(-Gamma tau / 2).
+
+    The decay factor is real, so each part is scaled and filtered as its own
+    contiguous real block, then written into its view of the field: bit for
+    bit the complex recursion on (re + 1j im) / sqrt(2)."""
     from scipy.signal import lfilter   # on first use: scipy.signal takes most of a second
     a, sigma2 = _ou_step_coefficients(model.nu, model.gamma, dt)
-    x = _complex_normals(master_seed, indices, n)
-    x0 = x[:, 0] * math.sqrt(model.mean_flux)  # stationary initial sample
-    x *= math.sqrt(sigma2)
-    x[:, 0] = x0
-    return lfilter([1.0], [1.0, -a], x, axis=1)
+    field = np.empty((len(indices), n), dtype=np.complex128)
+    for part, view in zip(_normal_draws(master_seed, indices, n), (field.real, field.imag)):
+        part *= 1.0 / math.sqrt(2.0)
+        x0 = part[:, 0] * math.sqrt(model.mean_flux)  # stationary initial sample
+        part *= math.sqrt(sigma2)
+        part[:, 0] = x0
+        view[...] = lfilter([1.0], [1.0, -a], part, axis=1)
+    return field
+
+
+def _unit_phasors(phi: np.ndarray) -> np.ndarray:
+    """exp(i phi) as cos phi and sin phi written into the views of one complex
+    block: bit for bit np.exp(1j * phi) without its complex temporary."""
+    out = np.empty(phi.shape, dtype=np.complex128)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    return out
 
 
 def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
@@ -252,6 +277,8 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     detuning_j * dt, where the detuning is a real OU process with stationary
     standard deviation jitter_band/2 and the given correlation time, drawn on
     its own channel.  At zero band the trace is the plain laser's bit for bit.
+    The field is cos phi and sin phi written into its views (_unit_phasors),
+    then scaled in place.
     """
     k = len(indices)
     phi0 = np.empty(k)
@@ -278,7 +305,7 @@ def _laser(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     phi[:, 0] = phi0
     np.cumsum(inc, axis=1, out=phi[:, 1:])
     phi[:, 1:] += phi0[:, np.newaxis]
-    field = np.exp(1j * phi)
+    field = _unit_phasors(phi)
     del phi   # the phases go before the field is scaled, in place
     field *= math.sqrt(model.mean_flux)
     return field
@@ -300,9 +327,9 @@ def _kspace_product(model: BeamModelSpec, dt: float, n: int, master_seed: int,
     theta = np.empty((len(indices), n))
     for r, index in enumerate(indices):
         theta[r] = trace_rng(master_seed, index).uniform(0.0, math.tau, n)
-    unit = 1j * theta
+    unit = _unit_phasors(theta)
     del theta
-    return _from_modes(model, dt, n, np.exp(unit, out=unit))
+    return _from_modes(model, dt, n, unit)
 
 
 def _periodic_thermal(model: BeamModelSpec, dt: float, n: int, master_seed: int,

@@ -135,11 +135,12 @@ def photon_counts(trace: FieldTrace, window_T: float) -> np.ndarray:
     """
     if not (math.isfinite(window_T) and window_T > 0):
         raise DomainError(f"window_T must be finite and > 0, got {window_T!r}")
-    if trace.duration < 10.0 * window_T:
-        raise DomainError("trace must be at least 10 windows long")
-    w = int(_whole_steps(window_T, trace.dt, "window_T must be an integer multiple of dt"))
+    w = int(min(_whole_steps(window_T, trace.dt, "window_T must be an integer multiple of dt"),
+                trace.n_samples))
     if w < 1:
         raise DomainError(f"window_T {window_T!r} is below one dt step")
+    if trace.n_samples < 10 * w:   # in whole steps: duration n dt against 10 windows of w dt
+        raise DomainError("trace must be at least 10 windows long")
     intensity = trace.intensity()
     n_windows = (trace.n_samples - 1) // w
     idx = np.arange(n_windows + 1) * w
@@ -213,8 +214,9 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
         return mean, re.mean()
 
     def row(trace):
-        # the trace and its modes are freed before the next trace is made
-        modes = np.fft.ifft(trace.samples)
+        # the modes overwrite the trace's own samples, and are freed before
+        # the next trace is made
+        modes = np.fft.ifft(trace.samples, out=trace.samples)
         # each product is allocated here, one branch at a time, as it is pulled
         branches = ((modes * response, skip) for response, skip in responses)
         return [m for pair in _ordered_map(moments, branches) for m in pair]

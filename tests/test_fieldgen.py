@@ -12,7 +12,11 @@ from beamsim.fieldgen import (
     FieldTrace,
     FAMILIES,
     _GENERATORS,
+    _complex_normals,
+    _normal_draws,
     _ou_step_coefficients,
+    _thermal,
+    _unit_phasors,
     _whole_steps,
     generate_ensemble,
     generate_trace,
@@ -205,6 +209,46 @@ class TestBlocks:
             with pytest.raises(ConfigurationError) as mode:
                 make(model, 0.02, 20000, 9, 3 if make is generate_ensemble else range(3))
             assert str(mode.value) == str(thermal.value)
+
+
+class TestKernelsBitForBit:
+    """Each generation kernel against the formula it replaced, with ==, on the
+    numpy build and SIMD dispatch that runs the suite."""
+
+    def test_cos_and_sin_into_views_equal_the_complex_exponential(self):
+        phi = np.random.default_rng(5).uniform(-1e5, 1e5, 10**6)
+        scale = math.sqrt(LASER.mean_flux)
+        field = _unit_phasors(phi)
+        field *= scale
+        assert np.array_equal(field, np.exp(1j * phi) * scale)
+
+    def test_view_assembly_equals_the_complex_formula(self):
+        re, im = _normal_draws(11, range(2, 5), 40000)
+        assert np.array_equal(_complex_normals(11, range(2, 5), 40000),
+                              (re + 1j * im) / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("model", [THERMAL, BeamModelSpec(family="thermal", nu=3e5, gamma=7.0)])
+    def test_two_real_filters_equal_the_complex_filter(self, model):
+        from scipy.signal import lfilter
+        dt, n, indices = 0.001, 40000, range(2, 5)
+        a, sigma2 = _ou_step_coefficients(model.nu, model.gamma, dt)
+        x = _complex_normals(11, indices, n)
+        x0 = x[:, 0] * math.sqrt(model.mean_flux)
+        x *= math.sqrt(sigma2)
+        x[:, 0] = x0
+        assert np.array_equal(_thermal(model, dt, n, 11, indices),
+                              lfilter([1.0], [1.0, -a], x, axis=1))
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_block_rows_equal_one_trace_ensembles(self, case):
+        """At the criterion-2 width (40,000 samples), seven traces made as one
+        block equal the same traces made as Ensembles of one."""
+        model, dt, _ = BLOCK_CASES[case]
+        n, indices = 40000, range(3, 10)
+        block = Ensemble(model, dt, n, 20151015, indices).make_block(indices)
+        for row, index in zip(block, indices):
+            one = Ensemble(model, dt, n, 20151015, range(index, index + 1))
+            assert np.array_equal(row, one.make_block(range(index, index + 1))[0])
 
 
 class TestThermal:

@@ -263,6 +263,18 @@ class TestPhotonCounts:
         with pytest.raises(DomainError, match="window_T must be an integer multiple of dt"):
             photon_counts(trace, 0.01000002)
 
+    def test_the_ten_window_rule_counts_whole_steps(self):
+        """1.0 and 1.0000001 at dt = 0.01 are the same 100 steps, so both are
+        accepted on 1000 samples (ten windows' worth) and give the same 9
+        counts; 101 steps are too long."""
+        trace = next(generate_ensemble(LASER, 0.01, 1000, 5, 1))
+        counts = photon_counts(trace, 1.0)
+        assert counts.size == 9
+        assert np.array_equal(photon_counts(trace, 1.0000001), counts)
+        assert np.array_equal(photon_counts(trace, 0.9999999), counts)
+        with pytest.raises(DomainError, match="at least 10 windows"):
+            photon_counts(trace, 1.01)
+
 
 class TestFanoFactor:
     def test_constant_counts(self):
