@@ -97,6 +97,17 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _numbers(flag: str, text: str) -> list[float]:
+    """The one parse rule of a comma-separated list of numbers (--taus, --fwhms)."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigurationError(f"{flag}: {entry!r} is not a number") from None
+    return values
+
+
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
@@ -305,8 +316,7 @@ def cmd_g2(args: argparse.Namespace) -> int:
     burn_in = args.burn_in
     if burn_in is None:
         burn_in = 0.0 if filt is None else filt.suggested_burn_in()
-    tau_grid = [float(x) for x in args.taus.split(",")]
-    est = g2(traces, tau_grid, burn_in=burn_in)
+    est = g2(traces, _numbers("--taus", args.taus), burn_in=burn_in)
     payload = {"g2": {"tau": est.tau.tolist(), "values": est.values.tolist(),
                       "std_errors": est.std_errors.tolist(),
                       "ensemble_size": est.ensemble_size}}
@@ -325,7 +335,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jitter_band=args.jitter_band if args.jitter_band is not None else 100.0 * model.gamma,
         jitter_corr_time=(args.jitter_corr_time if args.jitter_corr_time is not None
                           else 1.5 / model.gamma))
-    fwhms = [float(x) * args.gamma for x in args.fwhms.split(",")]
+    fwhms = [f * args.gamma for f in _numbers("--fwhms", args.fwhms)]
     rows = filtered_laser_sweep(model, fwhms, *run, center_detuning=args.filter_center)
     payload = {"sweep": [{"fwhm": r.fwhm, "value": r.g2_zero, "std_error": r.std_error,
                           "ensemble_size": r.ensemble_size} for r in rows]}

@@ -43,10 +43,10 @@ def trace_rng(master_seed: int, trace_index: int, channel: int = _CHANNEL_FIELD)
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def lorentzian(omega, fwhm: float, center: float = 0.0):
-    """Unit-peak Lorentzian (fwhm/2)^2 / ((fwhm/2)^2 + (omega-center)^2)."""
+def lorentzian(omega, fwhm: float):
+    """Unit-peak Lorentzian (fwhm/2)^2 / ((fwhm/2)^2 + omega^2)."""
     half = fwhm / 2.0
-    return half**2 / (half**2 + (np.asarray(omega, dtype=float) - center) ** 2)
+    return half**2 / (half**2 + np.asarray(omega, dtype=float) ** 2)
 
 
 def _mode_grid(dt: float, n: int) -> np.ndarray:
@@ -139,14 +139,6 @@ class BeamModelSpec:
         return self.nu * self.gamma / 4.0
 
 
-def nu_from_cavity(kappa: float, mu: float, gamma: float) -> float:
-    """Photons per coherence time from cavity output rate kappa and mean
-    intracavity photon number mu: nu = kappa * mu * 4 / gamma."""
-    if kappa < 0 or mu < 0 or gamma <= 0:
-        raise DomainError("kappa, mu must be >= 0 and gamma > 0")
-    return kappa * mu * 4.0 / gamma
-
-
 @dataclass(frozen=True)
 class FieldTrace:
     """One realization of a beam's coherent amplitude on a uniform time grid."""
@@ -169,10 +161,6 @@ class FieldTrace:
     @property
     def n_samples(self) -> int:
         return self.samples.size
-
-    @property
-    def duration(self) -> float:
-        return self.n_samples * self.dt
 
     def intensity(self) -> np.ndarray:
         """Instantaneous photon flux |alpha|^2."""

@@ -132,6 +132,10 @@ def photon_counts(trace: FieldTrace, window_T: float) -> np.ndarray:
     """Partition the trace into windows and draw Poisson counts with per-window
     mean equal to the trapezoidal integral of |alpha|^2, from the trace's
     counting stream trace_rng(master_seed, trace_index, _CHANNEL_COUNTS) alone.
+
+    The windows of w steps tile the (n - 1) dt between the first and the last
+    of the n samples, so there are (n - 1) // w counts: a trace of exactly
+    10 w samples, the shortest accepted, gives 9.
     """
     if not (math.isfinite(window_T) and window_T > 0):
         raise DomainError(f"window_T must be finite and > 0, got {window_T!r}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,14 +53,6 @@ def _in_range(quantity: str, form: Callable[[], float]) -> float:
     return value
 
 
-def mean_occupation(omega: float, T: float) -> float:
-    """Planck mean photon number 1/(exp(hbar omega / k_B T) - 1)."""
-    _require_positive(omega=omega, T=T)
-    x = HBAR * omega / (K_B * T)
-    # expm1 keeps the Rayleigh-Jeans limit accurate for x -> 0.
-    return _in_range("mean occupation", lambda: 1.0 / math.expm1(x))
-
-
 def radiated_power(A: float, T: float) -> float:
     """Total radiated power of a blackbody of area A at temperature T (Stefan-Boltzmann)."""
     _require_positive(A=A, T=T)
@@ -91,22 +82,6 @@ def temperature_for_collimated_power(P: float) -> float:
     """Source temperature whose collimated beam carries power P (inverse of collimated_power)."""
     _require_positive(P=P)
     return _in_range("collimated-beam T'", lambda: math.sqrt(12.0 * HBAR * P / math.pi) / K_B)
-
-
-def filtered_power(nu: float, omega0: float, Gamma: float) -> float:
-    """Power surviving a Lorentzian filter of FWHM Gamma on a beam with nu photons
-    per coherence time: nu hbar omega0 Gamma / 4.  Valid for Gamma << omega0."""
-    if not (isinstance(nu, (int, float)) and math.isfinite(nu) and nu >= 0):
-        raise DomainError(f"nu must be finite and non-negative, got {nu!r}")
-    _require_positive(omega0=omega0, Gamma=Gamma)
-    if Gamma > omega0 / 100.0:
-        warnings.warn(
-            f"filtered_power assumes Gamma << omega0; got Gamma/omega0 = {Gamma / omega0:.3g}",
-            stacklevel=2,
-        )
-    if nu == 0:
-        return 0.0
-    return _in_range("filtered power", lambda: nu * HBAR * omega0 * Gamma / 4.0)
 
 
 def temperature_for_filtered_power(P: float, Gamma: float) -> float:

@@ -37,7 +37,7 @@ class SpectrumEstimate:
 
     grid: np.ndarray         # detunings, rad/s, strictly increasing
     values: np.ndarray       # >= 0
-    std_errors: np.ndarray   # >= 0 (zero for single-shot periodograms)
+    std_errors: np.ndarray   # >= 0
     ensemble_size: int
 
     def __post_init__(self):
@@ -115,21 +115,6 @@ def _power(samples: np.ndarray, dt: float) -> np.ndarray:
     numpy fft ordering."""
     u = _amplitude_transform(samples, dt)
     return u.real**2 + u.imag**2
-
-
-def _sorted_estimate(dt: float, values: np.ndarray, std_errors: np.ndarray,
-                     count: int) -> SpectrumEstimate:
-    """SpectrumEstimate from per-bin values in numpy fft ordering."""
-    grid = _mode_grid(dt, values.size)
-    order = np.argsort(grid)
-    return SpectrumEstimate(grid=grid[order], values=values[order],
-                            std_errors=std_errors[order], ensemble_size=count)
-
-
-def periodogram(trace: FieldTrace) -> SpectrumEstimate:
-    """Single-shot periodogram |u~(w)|^2 on the trace's DFT grid."""
-    p = _power(trace.samples, trace.dt)
-    return _sorted_estimate(trace.dt, p, np.zeros_like(p), 1)
 
 
 def _check_same_grid(trace: FieldTrace, dt: float, n: int) -> None:
@@ -269,7 +254,10 @@ def spectrum(traces: Iterable[FieldTrace]) -> SpectrumEstimate:
     dt, count, (total, shifted, shifted_sq) = _scan(traces, _power, least=2, fold=True)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow gives inf or NaN
         var = np.maximum(shifted_sq - shifted**2 / count, 0.0) / (count - 1)
-    return _sorted_estimate(dt, total / count, np.sqrt(var / count), count)
+    grid = _mode_grid(dt, total.size)
+    order = np.argsort(grid)   # the bins come in numpy fft ordering
+    return SpectrumEstimate(grid=grid[order], values=(total / count)[order],
+                            std_errors=np.sqrt(var / count)[order], ensemble_size=count)
 
 
 def _pair_products(pairs: Sequence[tuple[float, float]]):

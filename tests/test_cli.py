@@ -249,6 +249,20 @@ class TestDomainAndGridErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value, entry", [
+        ("g2", "--taus", "0,x", "'x'"),
+        ("g2", "--taus", "", "''"),
+        ("sweep", "--fwhms", "1,,2", "''"),
+    ])
+    def test_a_bad_list_entry_names_the_flag(self, tmp_path, capsys, command, flag, value, entry):
+        family = ("--family", "thermal") if command == "g2" else ()
+        out = tmp_path / "out"
+        assert run(command, *family, "--nu", "100", "--gamma", "1", "--traces", "2",
+                   "--seed", "1", "--dt", "0.01", "--duration", "20", flag, value,
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {flag}: {entry} is not a number\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     ARGS = ("simulate", "--family", "laser", "--nu", "100", "--gamma", "1",

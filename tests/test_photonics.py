@@ -43,7 +43,7 @@ class TestFilter:
         filt = FilterSpec(center_detuning=0.7, fwhm=2.5)
         omega = TWO_PI * np.fft.fftfreq(4096, d=0.01)
         power = np.abs(filt.response(0.01, 4096)) ** 2
-        assert np.max(np.abs(power - lorentzian(omega, 2.5, center=0.7))) < 1e-12
+        assert np.max(np.abs(power - lorentzian(omega - 0.7, 2.5))) < 1e-12
 
     def test_all_pass_limit(self):
         trace = next(generate_ensemble(THERMAL, 0.002, 100000, 3, 1))

@@ -16,9 +16,7 @@ from beamsim.radiometry import (
     collimated_power,
     collimation_efficiency,
     filament_area,
-    filtered_power,
     filtering_efficiency,
-    mean_occupation,
     photons_per_coherence_time,
     radiated_power,
     temperature_for_collimated_power,
@@ -27,49 +25,12 @@ from beamsim.radiometry import (
 )
 
 
-def omega_for_ratio(ratio: float, T: float) -> float:
-    """omega with hbar*omega/(k_B*T) equal to the requested ratio."""
-    return ratio * K_B * T / HBAR
-
-
 class TestConstants:
     def test_codata_stefan_boltzmann(self):
         assert STEFAN_BOLTZMANN_SIGMA == pytest.approx(5.670374419e-8, rel=1e-6)
 
     def test_wien_displacement_constant(self):
         assert WIEN_B == pytest.approx(2.8977e-3, rel=1e-3)
-
-
-class TestMeanOccupation:
-    def test_ratio_ln2_gives_one(self):
-        assert mean_occupation(omega_for_ratio(math.log(2.0), 300.0), 300.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_ratio_one(self):
-        assert mean_occupation(omega_for_ratio(1.0, 300.0), 300.0) == pytest.approx(
-            1.0 / (math.e - 1.0), rel=1e-12)
-
-    def test_deep_wien_limit(self):
-        n = mean_occupation(omega_for_ratio(50.0, 300.0), 300.0)
-        assert n == pytest.approx(math.exp(-50.0), rel=1e-12)
-
-    def test_rayleigh_jeans_limit(self):
-        # n -> k_B T / (hbar omega) within 1% at ratio 1e-3
-        n = mean_occupation(omega_for_ratio(1e-3, 300.0), 300.0)
-        assert n == pytest.approx(1e3, rel=1e-2)
-
-    def test_wien_limit_one_percent(self):
-        n = mean_occupation(omega_for_ratio(20.0, 300.0), 300.0)
-        assert n == pytest.approx(math.exp(-20.0), rel=1e-2)
-
-    def test_monotone_in_temperature(self):
-        omega = omega_for_ratio(1.0, 300.0)
-        assert mean_occupation(omega, 600.0) > mean_occupation(omega, 300.0)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            mean_occupation(-1.0, 300.0)
-        with pytest.raises(DomainError):
-            mean_occupation(1e15, 0.0)
 
 
 class TestRadiatedPower:
@@ -143,29 +104,6 @@ class TestTemperatureForCollimatedPower:
             T = 10.0**exponent
             assert temperature_for_collimated_power(collimated_power(T)) == pytest.approx(
                 T, rel=1e-12)
-
-
-class TestFilteredPower:
-    def test_100mW_beam(self):
-        omega0 = 2.0 * math.pi * C / 1e-6
-        nu = photons_per_coherence_time(0.1, 1e-6, 1e7)
-        assert filtered_power(nu, omega0, 1e7) == pytest.approx(0.1, rel=1e-12)
-
-    def test_zero_brightness(self):
-        assert filtered_power(0.0, 1e15, 1e7) == 0.0
-
-    def test_linear_in_linewidth(self):
-        assert filtered_power(1e11, 1e15, 2e7) == pytest.approx(
-            2.0 * filtered_power(1e11, 1e15, 1e7), rel=1e-12)
-
-    def test_warns_for_wide_filter(self):
-        with pytest.warns(UserWarning):
-            filtered_power(1.0, 1e9, 1e8)
-
-    @pytest.mark.parametrize("nu", [-1.0, math.nan, math.inf])
-    def test_rejects_a_negative_or_non_finite_nu(self, nu):
-        with pytest.raises(DomainError, match="nu must be finite and non-negative"):
-            filtered_power(nu, 1e15, 1e7)
 
 
 class TestTemperatureForFilteredPower:
@@ -242,6 +180,13 @@ class TestPhotonsPerCoherenceTime:
         assert photons_per_coherence_time(0.1, 1e-6, 4e7) == pytest.approx(
             photons_per_coherence_time(0.1, 1e-6, 1e7) / 4.0, rel=1e-12)
 
+    def test_inverts_the_filtered_beam_power(self):
+        # P = nu hbar omega0 Gamma / 4 gives back the beam's power
+        P, lam0, Gamma = 0.1, 1e-6, 1e7
+        omega0 = 2.0 * math.pi * C / lam0
+        nu = photons_per_coherence_time(P, lam0, Gamma)
+        assert nu * HBAR * omega0 * Gamma / 4.0 == pytest.approx(P, rel=1e-12)
+
 
 class TestFloatRange:
     """A closed form whose result overflows, or underflows below the smallest
@@ -272,17 +217,15 @@ class TestFloatRange:
         assert str(exc.value) == f"{quantity} leaves the float range"
 
     @pytest.mark.parametrize("form, args, quantity", [
-        (mean_occupation, (1e20, 1.0), "mean occupation"),               # exp overflows
-        (mean_occupation, (1e-300, 1e300), "mean occupation"),           # 1/x overflows
+        (radiated_power, (5e-324, 1.0), "radiated power"),                # underflows to 0
+        (temperature_for_collimated_power, (5e-324,), "collimated-beam T'"),   # underflows to 0
         (wien_peak, (1e-312,), "Wien peak"),
         (filament_area, (1.0, 1e100), "filament area"),
         (collimated_power, (1e200,), "collimated power"),
-        (filtered_power, (1e-300, 1e15, 1e-30), "filtered power"),       # underflows to 0
+        (photons_per_coherence_time, (1e300, 1e-6, 1e-300),             # overflows
+         "nu, photons per coherence time,"),
         (temperature_for_filtered_power, (1e-300, 1e300), "filtered-beam T''"),
     ])
     def test_every_closed_form(self, form, args, quantity):
         with pytest.raises(DomainError, match=re.escape(quantity)):
             form(*args)
-
-    def test_a_dark_beam_still_carries_no_power(self):
-        assert filtered_power(0.0, 1e15, 1e7) == 0.0

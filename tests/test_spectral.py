@@ -18,7 +18,6 @@ from beamsim.spectral import (
     _anova_f,
     cross_mode_correlation,
     estimate_fwhm,
-    periodogram,
     periodogram_bin_values,
     periodogram_distribution_test,
     predicted_cross_mode_correlation,
@@ -57,11 +56,14 @@ def exact_discrete_cross(nu, gamma, dt, n, k_det, kp_det):
 
 
 class TestPeriodogram:
+    """The single-shot periodogram of a trace is, bit for bit, the spectrum of
+    two copies of it (x + x is 2x, and 2x / 2 is x)."""
+
     def test_dc_line(self):
         trace = constant_trace()
-        est = periodogram(trace)
+        est = spectrum([trace, trace])
         i0 = int(np.argmin(np.abs(est.grid)))
-        assert est.values[i0] == pytest.approx(25.0 * trace.duration, rel=1e-12)
+        assert est.values[i0] == pytest.approx(25.0 * trace.n_samples * trace.dt, rel=1e-12)
         rest = np.delete(est.values, i0)
         assert np.max(rest) < 1e-18 * est.values[i0]
 
@@ -72,7 +74,7 @@ class TestPeriodogram:
         t = np.arange(n) * dt
         trace = FieldTrace(samples=np.exp(-1j * omega1 * t), dt=dt,
                            model=LASER, master_seed=0)
-        est = periodogram(trace)
+        est = spectrum([trace, trace])
         i = int(np.argmin(np.abs(est.grid - omega1)))
         assert est.values[i] == pytest.approx(duration, rel=1e-10)
         assert np.max(np.delete(est.values, i)) < 1e-18 * duration
@@ -81,14 +83,16 @@ class TestPeriodogram:
     def test_parseval_identity(self, family):
         model = BeamModelSpec(family=family, nu=100.0, gamma=1.0)
         trace = next(generate_ensemble(model, 0.01, 5000, 3, 1))
-        est = periodogram(trace)
-        d_omega = TWO_PI / trace.duration
+        est = spectrum([trace, trace])
+        duration = trace.n_samples * trace.dt
+        d_omega = TWO_PI / duration
         lhs = np.sum(est.values) * d_omega / TWO_PI
-        rhs = np.sum(trace.intensity()) * trace.dt / trace.duration
+        rhs = np.sum(trace.intensity()) * trace.dt / duration
         assert abs(lhs - rhs) < 1e-10 * rhs
 
     def test_grid_symmetric_about_zero(self):
-        est = periodogram(constant_trace(n=2001))
+        trace = constant_trace(n=2001)
+        est = spectrum([trace, trace])
         assert np.allclose(est.grid, -est.grid[::-1])
 
 
@@ -193,7 +197,7 @@ class TestPeriodogramDistribution:
         traces = list(generate_ensemble(THERMAL, 0.01, 2000, 5, 2))
         for bin_ in (-1, -7, -1000):
             values = periodogram_bin_values(traces, detuning=bin_ * TWO_PI / 20.0 * (1 + 1e-9))
-            expected = [periodogram(t).values[bin_ + 1000] for t in traces]
+            expected = [spectrum([t, t]).values[bin_ + 1000] for t in traces]
             assert values.tolist() == pytest.approx(expected, rel=1e-12)
 
     def test_a_detuning_whose_bin_count_overflows_is_beyond_nyquist(self):
