@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .errors import ConfigurationError, DomainError  # noqa: F401
+from .errors import DomainError  # noqa: F401

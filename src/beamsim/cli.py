@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from . import radiometry
 from .fieldgen import FAMILIES, BeamModelSpec, FilterSpec, _whole_steps, generate_ensemble
 from .photonics import apply_filter, filtered_laser_sweep, g2
@@ -64,7 +64,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -80,15 +80,15 @@ def _config_as_defaults(args: argparse.Namespace) -> None:
     for key, raw in cfg.items():
         action = actions.get(key)
         if action is None or key == "config" or action.dest not in vars(args):
-            raise ConfigurationError(f"config key {key!r} unknown for this command")
+            raise DomainError(f"config key {key!r} unknown for this command")
         conv = action.type or str
         try:
             value = conv(raw)
         except ValueError as exc:
-            raise ConfigurationError(f"config key {key!r}: {exc}") from exc
+            raise DomainError(f"config key {key!r}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
-            raise ConfigurationError(f"config key {key!r}: invalid choice {raw!r} "
-                                     f"(choose from {', '.join(map(str, action.choices))})")
+            raise DomainError(f"config key {key!r}: invalid choice {raw!r} "
+                              f"(choose from {', '.join(map(str, action.choices))})")
         args.parser.set_defaults(**{action.dest: value})
 
 
@@ -104,7 +104,7 @@ def _numbers(flag: str, text: str) -> list[float]:
         try:
             values.append(float(entry))
         except ValueError:
-            raise ConfigurationError(f"{flag}: {entry!r} is not a number") from None
+            raise DomainError(f"{flag}: {entry!r} is not a number") from None
     return values
 
 
@@ -183,16 +183,16 @@ def _run_from_args(args: argparse.Namespace) -> tuple[float, int, int, int]:
     for name in ("dt", "duration"):
         value = getattr(args, name)
         if not (math.isfinite(value) and value > 0):
-            raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+            raise DomainError(f"{name} must be finite and > 0, got {value!r}")
     ratio = args.duration / args.dt
     if not math.isfinite(ratio):
-        raise ConfigurationError(f"duration / dt = {ratio} is not a finite sample count")
+        raise DomainError(f"duration / dt = {ratio} is not a finite sample count")
     if round(ratio) < 2:
-        raise ConfigurationError("duration must cover at least 2 samples")
+        raise DomainError("duration must cover at least 2 samples")
     n = int(_whole_steps(args.duration, args.dt,
                          f"--duration {args.duration!r} not a multiple of --dt {args.dt!r}"))
     if args.seed < 0:
-        raise ConfigurationError(f"--seed must be a non-negative integer, got {args.seed}")
+        raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
     return args.dt, n, args.seed, args.traces
 
 
@@ -203,14 +203,14 @@ def _stored_traces(in_dir: str):
     try:
         files = json.loads(manifest.read_text())["files"]
     except FileNotFoundError:
-        raise ConfigurationError(f"no {manifest}: --in reads the traces it lists") from None
+        raise DomainError(f"no {manifest}: --in reads the traces it lists") from None
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigurationError(f"{manifest} malformed: {exc!r}") from exc
+        raise DomainError(f"{manifest} malformed: {exc!r}") from exc
     if not (isinstance(files, list) and files and all(
             isinstance(name, str) and name not in ("", ".", "..") and Path(name).name == name
             for name in files) and len(set(files)) == len(files)):
-        raise ConfigurationError(f'{manifest}: "files" must be a non-empty list of distinct '
-                                 'file names')
+        raise DomainError(f'{manifest}: "files" must be a non-empty list of distinct '
+                          'file names')
     return (read_trace(manifest.parent / name) for name in files)
 
 
@@ -222,7 +222,7 @@ def _ensemble_from_args(args: argparse.Namespace, filt: FilterSpec | None = None
                  "seed", "traces", "jitter_corr_time", "jitter_band")
                  if getattr(args, k) != (0.0 if k == "jitter_band" else None)]
         if given:
-            raise ConfigurationError(f"--in reads stored traces; drop {', '.join(given)}")
+            raise DomainError(f"--in reads stored traces; drop {', '.join(given)}")
         traces = _stored_traces(args.in_dir)
         return traces if filt is None else (apply_filter(t, filt) for t in traces)
     model = _model_from_args(args)
@@ -309,7 +309,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_g2(args: argparse.Namespace) -> int:
     if args.filter_fwhm is None and args.filter_center != 0.0:
-        raise ConfigurationError("--filter-center needs --filter-fwhm: there is no filter to center")
+        raise DomainError("--filter-center needs --filter-fwhm: there is no filter to center")
     filt = (None if args.filter_fwhm is None
             else FilterSpec(center_detuning=args.filter_center, fwhm=args.filter_fwhm))
     traces = _ensemble_from_args(args, filt)
@@ -348,7 +348,7 @@ def cmd_qslb_demo(args: argparse.Namespace) -> int:
     _require(args, "nu", "gamma")
     run = _run_from_args(args)
     if not 0.0 < args.significance < 1.0:   # NaN fails too; before any ensemble is generated
-        raise ConfigurationError(f"significance must lie in (0, 1), got {args.significance!r}")
+        raise DomainError(f"significance must lie in (0, 1), got {args.significance!r}")
     families = ("thermal", "laser", "kspace_product")
     # every family's grid is checked before any ensemble is generated
     ensembles = [generate_ensemble(BeamModelSpec(family=f, nu=args.nu, gamma=args.gamma), *run)
@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors / --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except ValueError as exc:  # DomainError and ConfigurationError included
+    except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError:

@@ -1,9 +1,6 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
 class DomainError(ValueError):
-    """An input is outside the mathematical domain of an operation."""
-
-
-class ConfigurationError(ValueError):
-    """A run configuration is inconsistent (grid too coarse, trace too short, ...)."""
+    """A rejected input: a value outside an operation's domain, or a run that
+    cannot be made as configured (grid too coarse, trace too short, ...)."""

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 FAMILIES = ("thermal", "laser", "jittered_laser", "kspace_product", "periodic_thermal")
 _MODE_FAMILIES = ("kspace_product", "periodic_thermal")
@@ -84,7 +84,7 @@ class FilterSpec:
         numpy fft ordering; |t|^2 is Lorentzian of FWHM d.  A filter too wide
         for the grid (fwhm >= pi/dt) is rejected."""
         if self.fwhm >= math.pi / dt:
-            raise ConfigurationError(
+            raise DomainError(
                 f"filter fwhm {self.fwhm:g} not resolvable on a grid with dt={dt:g} "
                 f"(need fwhm < pi/dt = {math.pi / dt:g})"
             )
@@ -179,16 +179,16 @@ def _check_grid(model: BeamModelSpec, dt: float, n: int) -> None:
     10/gamma.  The exact discretizations of the time-domain families are
     valid at any duration."""
     if not (math.isfinite(dt) and dt > 0):
-        raise ConfigurationError(f"dt must be finite and > 0, got {dt!r}")
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ConfigurationError(f"n must be an integer >= 2, got {n!r}")
+        raise DomainError(f"n must be an integer >= 2, got {n!r}")
     bound = 0.01 / model.gamma
     if dt > bound * (1.0 + 1e-12):
-        raise ConfigurationError(
+        raise DomainError(
             f"dt={dt:g} too coarse for gamma={model.gamma:g}; require dt <= 0.01/gamma = {bound:g}"
         )
     if model.family in _MODE_FAMILIES and n * dt <= 10.0 / model.gamma:
-        raise ConfigurationError(
+        raise DomainError(
             f"duration {n * dt:g} too short; require duration > 10/gamma = {10.0 / model.gamma:g}"
         )
 

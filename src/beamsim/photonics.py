@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .fieldgen import (
     BeamModelSpec,
     FieldTrace,
@@ -199,7 +199,7 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
     for f in filters:
         response, burn = f.response(dt, n), max(f.suggested_burn_in(), 10.0 / model.gamma)
         if burn > 0.5 * n * dt:
-            raise ConfigurationError(
+            raise DomainError(
                 f"trace too short for fwhm={f.fwhm:g}: burn-in {burn:g} exceeds half the duration"
             )
         responses.append((response, _burn_in_samples(dt, n, burn)))
@@ -210,12 +210,13 @@ def filtered_laser_sweep(model: BeamModelSpec, fwhm_list: Sequence[float],
         filtered, skip = branch
         np.fft.fft(filtered, out=filtered)
         re, im = filtered.real[skip:], filtered.imag[skip:]
-        np.square(re, out=re)
-        np.square(im, out=im)
-        re += im
-        mean = re.mean()
-        np.square(re, out=re)
-        return mean, re.mean()
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow gives inf or NaN
+            np.square(re, out=re)
+            np.square(im, out=im)
+            re += im
+            mean = re.mean()
+            np.square(re, out=re)
+            return mean, re.mean()
 
     def row(trace):
         # the modes overwrite the trace's own samples, and are freed before

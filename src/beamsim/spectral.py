@@ -368,6 +368,11 @@ def windowed_means_and_carrier_powers(traces: Iterable[FieldTrace],
     return np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
 
 
+# W whose spread is at most this fraction of its largest entry is constant
+# up to rounding: a laser's window means differ only in their last bits
+_ROUNDING_SPREAD = 1e-12
+
+
 def _anova_f(W: np.ndarray) -> float:
     """One-way F statistic with window positions as groups, traces as replicates."""
     r, k = W.shape
@@ -391,6 +396,8 @@ def stationarity_test(W, n_permutations: int = 4999,
     intensity, null distribution by shuffling each window column across traces
     (two-sided).  A mixture of pulses has a deterministic per-trace total flux
     and lands in the far left tail of part 2.
+    A W constant up to rounding has p = 1 in both parts without permuting;
+    column sums whose squares overflow, or underflow to 0, are a DomainError.
     """
     if n_permutations < 1:
         raise DomainError(f"need n_permutations >= 1, got {n_permutations!r}")
@@ -403,19 +410,25 @@ def stationarity_test(W, n_permutations: int = 4999,
     if r < 8:
         raise DomainError("need at least 8 traces")
 
-    if np.ptp(W) == 0:
+    if np.ptp(W) <= _ROUNDING_SPREAD * np.max(np.abs(W)):
         # constant intensity everywhere (ideal laser): no evidence against stationarity
         return StationarityReport(0.0, 1.0, 0.0, 1.0, r, k)
 
-    rng = np.random.default_rng(permutation_seed)
-
-    f_obs = _anova_f(W)
-    d_obs = float(np.var(W.mean(axis=1), ddof=1))
     # Within-row permutations keep the grand mean and the total sum of
     # squares, so F rises monotonically with the sum of squared column sums;
     # F = 0 (no spread within or between positions) counts every permutation.
     col_sums = W.sum(axis=0)
-    s_obs = col_sums @ col_sums
+    with np.errstate(over="ignore"):   # an overflow is rejected below
+        s_obs = col_sums @ col_sums
+        # no permutation's squared column sums exceed the squared total
+        s_top = col_sums.sum() ** 2
+    if not (0.0 < s_obs < math.inf and s_top < math.inf):
+        raise DomainError(f"window intensities up to {np.max(W):g} leave the float range "
+                          f"when squared: the squared column sums are {s_obs:g}")
+    rng = np.random.default_rng(permutation_seed)
+
+    f_obs = _anova_f(W)
+    d_obs = float(np.var(W.mean(axis=1), ddof=1))
 
     # Shuffling a row of W.T is the same draw as shuffling a column of W.
     WT = np.ascontiguousarray(W.T)

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -706,6 +707,27 @@ class TestQslbVerdict:
             assert (r["stationarity_passed"], r["periodogram_passed"]) == passed
             assert r["verdict"] == verdict
 
+    QSLB = ("qslb-demo", "--gamma", "1", "--dt", "0.01", "--duration", "20", "--seed", "1",
+            "--traces", "1000", "--format", "json")
+
+    def test_a_laser_constant_up_to_rounding_is_stationary(self, capsys):
+        """At nu = 123.456 the laser's window means differ in their last bits;
+        permuting them would test rounding noise."""
+        assert run(*self.QSLB, "--nu", "123.456") == 0
+        laser = json.loads(capsys.readouterr().out)["results"][1]
+        assert (laser["family"], laser["stationarity_p"]) == ("laser", 1.0)
+
+    @pytest.mark.parametrize("nu, sums", [("1e160", "inf"), ("1e-300", "0")])
+    def test_window_intensities_past_the_float_range(self, capsys, nu, sums):
+        """Squared sums that overflow (a verdict from inf, with numpy's
+        warning) or underflow to 0 (thermal stationary at p = 1) are no
+        verdict: exit 3 with one error line and nothing on stdout."""
+        assert run(*self.QSLB, "--nu", nu) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: window intensities up to \S+ leave the float range when "
+                            rf"squared: the squared column sums are {sums}\n", captured.err)
+
 
 class TestNonFiniteOutput:
     """No command writes a NaN or an infinity: JSON has no token for them and
@@ -723,6 +745,9 @@ class TestNonFiniteOutput:
         # I^2 overflows in the rows, the pool workers' among them
         "g2-rows": ("g2", "--family", "thermal", "--nu", "1e160", "--gamma", "1", "--dt", "0.01",
                     "--duration", "10", "--seed", "1", "--traces", "4", "--taus", "0"),
+        # I^2 overflows in the sweep's filter moments, on the pool workers
+        "sweep": ("sweep", "--nu", "1e160", "--gamma", "1", "--dt", "0.001", "--duration", "20",
+                  "--seed", "1", "--traces", "2", "--fwhms", "100,1"),
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

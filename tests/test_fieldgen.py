@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from beamsim import ConfigurationError, DomainError, fieldgen
+from beamsim import DomainError, fieldgen
 from beamsim.fieldgen import (
     BeamModelSpec,
     Ensemble,
@@ -147,9 +147,9 @@ class TestBlocks:
             assert np.array_equal(row, generate_trace(model, dt, n, 9, index).samples)
 
     def test_block_checks_grid_and_finiteness(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             Ensemble(THERMAL, 0.1, 2000, 9, range(3)).make_block(range(3))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             Ensemble(KSPACE, 0.01, 500, 9, range(3)).make_block(range(3))
         inf = BeamModelSpec(family="thermal", nu=1e308, gamma=1e3)
         with pytest.raises(DomainError, match="non-finite"):
@@ -171,7 +171,7 @@ class TestBlocks:
             generate_trace(inf, 1e-5, 100, 9)
 
     def test_ensemble_checks_its_grid_before_any_trace(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             generate_ensemble(THERMAL, 0.1, 2000, 9, 3)
 
     @pytest.mark.parametrize("model, dt", [(THERMAL, 0.1), (KSPACE, 0.01)],
@@ -182,7 +182,7 @@ class TestBlocks:
             raise AssertionError("a trace was drawn before the grid was checked")
 
         monkeypatch.setattr(fieldgen, "trace_rng", no_draws)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             Ensemble(model, dt, 500, 9, range(3))
 
     def test_one_grid_check_per_ensemble(self, monkeypatch):
@@ -197,10 +197,10 @@ class TestBlocks:
     def test_mode_families_reject_a_coarse_dt_as_thermal_does(self, model):
         """At dt = 0.02/gamma a mode family would cut its Lorentzian off at
         Nyquist; the one grid rule rejects it with thermal's message."""
-        with pytest.raises(ConfigurationError) as thermal:
+        with pytest.raises(DomainError) as thermal:
             generate_ensemble(THERMAL, 0.02, 20000, 9, 3)
         for make in (generate_ensemble, Ensemble):
-            with pytest.raises(ConfigurationError) as mode:
+            with pytest.raises(DomainError) as mode:
                 make(model, 0.02, 20000, 9, 3 if make is generate_ensemble else range(3))
             assert str(mode.value) == str(thermal.value)
 
@@ -292,7 +292,7 @@ class TestThermal:
         assert abs(kurt - 3.0) < 3.0 * sigma
 
     def test_dt_bound_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             generate_trace(THERMAL, 0.02, 1000, 1)
 
 
@@ -355,7 +355,7 @@ class TestKSpaceProduct:
         assert trace.intensity().mean() == pytest.approx(25.0, rel=0.01)
 
     def test_duration_bound(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             generate_trace(KSPACE, 0.01, 500, 1)
 
 

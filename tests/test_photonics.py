@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from beamsim import ConfigurationError, DomainError
+from beamsim import DomainError
 from beamsim.fieldgen import (
     _CHANNEL_COUNTS,
     BeamModelSpec,
@@ -76,7 +76,7 @@ class TestFilter:
         with pytest.raises(DomainError):
             FilterSpec(0.0, -1.0)
         trace = next(generate_ensemble(THERMAL, 0.01, 2000, 1, 1))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             apply_filter(trace, FilterSpec(0.0, 1000.0))  # pi/dt ~ 314
 
     @pytest.mark.parametrize("fwhm", [5e-324, 1e-320, 1.112e-308])
@@ -100,14 +100,14 @@ class TestFilter:
         from beamsim import fieldgen
 
         trace = next(generate_ensemble(LASER, 0.01, 25000, 1, 1))
-        with pytest.raises(ConfigurationError) as filtered:
+        with pytest.raises(DomainError) as filtered:
             apply_filter(trace, FilterSpec(0.0, 1000.0))
         draws = []
         monkeypatch.setattr(fieldgen, "trace_rng", lambda *args: draws.append(args))
-        with pytest.raises(ConfigurationError) as generated:
+        with pytest.raises(DomainError) as generated:
             generate_ensemble(LASER, 0.01, 25000, 1, 2, filt=FilterSpec(0.0, 1000.0))
         assert draws == []
-        with pytest.raises(ConfigurationError) as swept:
+        with pytest.raises(DomainError) as swept:
             filtered_laser_sweep(LASER, [1000.0], 0.01, 25000, 1, 2)
         assert str(filtered.value) == str(generated.value) == str(swept.value) == (
             "filter fwhm 1000 not resolvable on a grid with dt=0.01 "
@@ -400,9 +400,9 @@ class TestSweep:
         assert 1.6 < values[2] < 2.3
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             filtered_laser_sweep(LASER, [1000.0], 0.01, 25000, 1, 2)  # unresolvable
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             filtered_laser_sweep(LASER, [0.01], 0.01, 25000, 1, 2)    # burn-in too long
 
     def test_rejects_zero_mean_flux(self):

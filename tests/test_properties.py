@@ -1,6 +1,7 @@
 """Property tests: the chunk rule, .ftrc round trips and corrupt records,
-Parseval, the spectrum's linearity in nu, g2 of a constant-modulus beam,
-filter composition and the grid rule, over generated inputs.
+Parseval, the spectrum's linearity in nu, g2 and the stationarity of
+constant-modulus beams, filter composition and the grid rule, over
+generated inputs.
 
 Examples are derandomized and capped, so every run checks the same few
 dozen cases per property and tier-1 grows by seconds at most.
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beamsim import ConfigurationError, fieldgen, spectral
+from beamsim import DomainError, fieldgen, spectral
 from beamsim.fieldgen import (
     _MODE_FAMILIES,
     FAMILIES,
@@ -145,6 +146,23 @@ def test_g2_of_constant_modulus_is_one(data, modulus, shape):
     np.testing.assert_allclose(est.values, 1.0, rtol=0, atol=1e-12)
 
 
+@PROPERTY
+@given(nu=st.floats(-3.0, 12.0).map(lambda e: 10.0**e), gamma=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**128), jitter=st.one_of(st.none(), st.tuples(
+           st.floats(1.01, 10.0), st.floats(1.01, 100.0))))   # dt * band <= 0.1
+def test_constant_modulus_beams_are_stationary(nu, gamma, seed, jitter):
+    """A laser's window means are constant up to rounding, jittered or not,
+    so stationarity_test finds no evidence against stationarity."""
+    family, extra = "laser", {}
+    if jitter is not None:
+        family, extra = "jittered_laser", {"jitter_band": jitter[0] * gamma,
+                                           "jitter_corr_time": jitter[1] / gamma}
+    model = BeamModelSpec(family=family, nu=nu, gamma=gamma, **extra)
+    W = spectral.windowed_mean_intensities(
+        generate_ensemble(model, 0.01 / gamma, 2000, seed, 20), 8)
+    assert spectral.stationarity_test(W, n_permutations=99).p_value == 1.0
+
+
 NYQUIST = math.pi / 0.01   # rad/s, at dt = 0.01
 filters = st.builds(FilterSpec, st.floats(-NYQUIST, NYQUIST),
                     st.floats(0.0, NYQUIST, exclude_min=True, exclude_max=True,
@@ -178,7 +196,7 @@ def test_every_family_rejects_a_coarse_dt_with_one_message(gamma, coarser, n):
     dt = coarser * 0.01 / gamma
     messages = set()
     for family in FAMILIES:
-        with pytest.raises(ConfigurationError, match="too coarse") as exc:
+        with pytest.raises(DomainError, match="too coarse") as exc:
             generate_ensemble(BeamModelSpec(family=family, nu=1.0, gamma=gamma), dt, n, 0, 1)
         messages.add(str(exc.value))
     assert len(messages) == 1
@@ -205,9 +223,9 @@ def test_every_family_rejects_a_bad_grid_before_any_draw(monkeypatch, family, dt
     and through the sweep, ahead of the sweep's own filter checks."""
     monkeypatch.setattr(fieldgen, "trace_rng", no_draws)
     model = model_of(family)
-    with pytest.raises(ConfigurationError, match=message):
+    with pytest.raises(DomainError, match=message):
         next(generate_ensemble(model, dt, n, 0, 1))
-    with pytest.raises(ConfigurationError, match=message):
+    with pytest.raises(DomainError, match=message):
         filtered_laser_sweep(model, [10.0], dt, n, 0, 1)
 
 
@@ -215,7 +233,7 @@ def test_every_family_rejects_a_bad_grid_before_any_draw(monkeypatch, family, dt
 @given(trace=traces(), data=st.data())
 def test_corrupt_record_decodes_or_is_rejected(trace, data):
     """A valid record cut short, or with one byte changed, decodes to a
-    FieldTrace or raises ConfigurationError, and never anything else."""
+    FieldTrace or raises DomainError, and never anything else."""
     record = bytearray(trace_to_bytes(trace))
     hlen = int.from_bytes(record[8:12], "little")
     # half the changes fall in the JSON header, and half the bytes written are printable
@@ -228,6 +246,6 @@ def test_corrupt_record_decodes_or_is_rejected(trace, data):
         record[at] = byte
     try:
         decoded = trace_from_bytes(bytes(record))
-    except ConfigurationError:
+    except DomainError:
         return
     assert isinstance(decoded, FieldTrace)

@@ -15,6 +15,7 @@ from beamsim.fieldgen import (
 )
 from beamsim.spectral import (
     SpectrumEstimate,
+    StationarityReport,
     _anova_f,
     cross_mode_correlation,
     estimate_fwhm,
@@ -316,6 +317,24 @@ class TestStationarity:
         report = stationarity_test(windowed_mean_intensities(
             generate_ensemble(LASER, 0.01, 10000, 101, 100), n_windows=8))
         assert report.p_value == 1.0  # constant intensity
+
+    def test_laser_constant_up_to_rounding_passes_trivially(self):
+        """At nu = 123.456 the laser's window means differ in their last bits
+        (spread 3.5e-16 of the largest); permuting them would test rounding
+        noise."""
+        model = BeamModelSpec(family="laser", nu=123.456, gamma=1.0)
+        W = windowed_mean_intensities(generate_ensemble(model, 0.01, 10000, 101, 100), n_windows=8)
+        assert np.ptp(W) > 0
+        assert stationarity_test(W) == StationarityReport(0.0, 1.0, 0.0, 1.0, 100, 8)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-300])
+    def test_window_intensities_past_the_float_range(self, scale):
+        """Squared sums that overflow, or underflow to 0, would give a verdict
+        on inf or on 0; they are rejected before any permutation, and no
+        numpy warning is raised on the way."""
+        W = scale * np.random.default_rng(2).random((1000, 8))
+        with pytest.raises(DomainError, match="leave the float range when squared"):
+            stationarity_test(W)
 
     def test_kspace_product_fails(self):
         model = BeamModelSpec(family="kspace_product", nu=100.0, gamma=1.0)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from beamsim import ConfigurationError
+from beamsim import DomainError
 from beamsim.fieldgen import BeamModelSpec, generate_trace
 from beamsim.traceio import (
     read_trace,
@@ -86,56 +86,56 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_bad_magic(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             trace_from_bytes(b"NOPE" + trace_to_bytes(make_trace())[4:])
 
     def test_unsupported_version(self):
         data = bytearray(trace_to_bytes(make_trace()))
         data[4] = 99
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             trace_from_bytes(bytes(data))
 
     def test_truncated_payload(self):
         data = trace_to_bytes(make_trace())
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             trace_from_bytes(data[:-16])
 
     @pytest.mark.parametrize("cut", [1, 3])
     def test_payload_cut_inside_a_sample(self, cut):
         data = trace_to_bytes(make_trace())
-        with pytest.raises(ConfigurationError, match="payload"):
+        with pytest.raises(DomainError, match="payload"):
             trace_from_bytes(data[:-cut])
 
     # 2000.5 samples with 8 bytes appended: the payload does hold 16 * n bytes
     @pytest.mark.parametrize("n, pad", [(None, 0), (2000.5, 8)])
     def test_sample_count_not_an_integer(self, n, pad):
         data = reencoded(trace_to_bytes(make_trace()), lambda h: h.update(n_samples=n))
-        with pytest.raises(ConfigurationError, match="payload"):
+        with pytest.raises(DomainError, match="payload"):
             trace_from_bytes(data + bytes(pad))
 
     def test_record_shorter_than_preamble(self):
-        with pytest.raises(ConfigurationError, match="12-byte preamble"):
+        with pytest.raises(DomainError, match="12-byte preamble"):
             trace_from_bytes(b"FTRC\x01")
 
     def test_truncated_header(self):
-        with pytest.raises(ConfigurationError, match="header truncated"):
+        with pytest.raises(DomainError, match="header truncated"):
             trace_from_bytes(trace_to_bytes(make_trace())[:20])
 
     def test_header_not_utf8_json(self):
         data = bytearray(trace_to_bytes(make_trace()))
         data[12] = 0xFF
-        with pytest.raises(ConfigurationError, match="not UTF-8 JSON"):
+        with pytest.raises(DomainError, match="not UTF-8 JSON"):
             trace_from_bytes(bytes(data))
 
     @pytest.mark.parametrize("key", ["dt", "n_samples", "model"])
     def test_header_missing_key(self, key):
         data = without_header_key(trace_to_bytes(make_trace()), key)
-        with pytest.raises(ConfigurationError, match=f"lacks a required key: '{key}'"):
+        with pytest.raises(DomainError, match=f"lacks a required key: '{key}'"):
             trace_from_bytes(data)
 
     def test_model_lacks_a_field(self):
         data = without_header_key(trace_to_bytes(make_trace()), "model", "family")
-        with pytest.raises(ConfigurationError, match="malformed"):
+        with pytest.raises(DomainError, match="malformed"):
             trace_from_bytes(data)
 
     @pytest.mark.parametrize("edit", [{"dt": "x"}, {"dt": None}, {"dt": True},
@@ -143,32 +143,32 @@ class TestValidation:
                                       {"trace_index": None}, {"trace_index": False}])
     def test_header_value_types(self, edit):
         data = reencoded(trace_to_bytes(make_trace()), lambda h: h.update(edit))
-        with pytest.raises(ConfigurationError, match="real dt and integer master_seed"):
+        with pytest.raises(DomainError, match="real dt and integer master_seed"):
             trace_from_bytes(data)
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.01])
     def test_header_dt_out_of_domain(self, dt):
         data = reencoded(trace_to_bytes(make_trace()), lambda h: h.update(dt=dt))
-        with pytest.raises(ConfigurationError, match="dt must be finite and > 0"):
+        with pytest.raises(DomainError, match="dt must be finite and > 0"):
             trace_from_bytes(data)
 
     def test_header_model_out_of_domain(self, tmp_path):
         path = tmp_path / "model.ftrc"
         path.write_bytes(reencoded(trace_to_bytes(make_trace()),
                                    lambda h: h["model"].update(gamma=-1.0)))
-        with pytest.raises(ConfigurationError, match="model.ftrc: trace header model invalid"):
+        with pytest.raises(DomainError, match="model.ftrc: trace header model invalid"):
             read_trace(path)
 
     def test_read_trace_names_the_file(self, tmp_path):
         path = tmp_path / "bad.ftrc"
         path.write_bytes(b"FTRC\x01")
-        with pytest.raises(ConfigurationError, match="bad.ftrc"):
+        with pytest.raises(DomainError, match="bad.ftrc"):
             read_trace(path)
 
     @pytest.mark.parametrize("cut", [1, 3])
     def test_read_trace_names_the_file_of_a_cut_payload(self, tmp_path, cut):
         path = tmp_path / "cut.ftrc"
         path.write_bytes(trace_to_bytes(make_trace())[:-cut])
-        with pytest.raises(ConfigurationError, match="cut.ftrc: payload"):
+        with pytest.raises(DomainError, match="cut.ftrc: payload"):
             read_trace(path)
 
