@@ -338,9 +338,10 @@ _GENERATORS = {
 class Ensemble:
     """Iterator over the traces `indices` of the model on the grid (dt, n),
     in order, filtered by `filt` if given: each is made as a block of one and
-    finite-checked once, by FieldTrace.  The grid and the filter are checked,
-    and a coarse jitter step (dt * jitter_band > 0.1) is warned about, here,
-    once, before any trace is made.
+    finite-checked once, by FieldTrace.  The grid, the master seed (an integer
+    >= 0, not a bool), the indices (>= 0) and the filter are checked, and a
+    coarse jitter step (dt * jitter_band > 0.1) is warned about, here, once,
+    before any trace is made.
 
     Each trace depends only on its index, so a consumer may instead take the
     indices not yet pulled (`take_rest`) and make them itself, on any thread
@@ -351,6 +352,11 @@ class Ensemble:
     def __init__(self, model: BeamModelSpec, dt: float, n: int, master_seed: int,
                  indices: range, filt: Optional[FilterSpec] = None):
         _check_grid(model, dt, n)
+        integer = isinstance(master_seed, (int, np.integer)) and not isinstance(master_seed, bool)
+        if not (integer and master_seed >= 0):
+            raise DomainError(f"master_seed must be an integer >= 0, got {master_seed!r}")
+        if indices and (lowest := min(indices[0], indices[-1])) < 0:
+            raise DomainError(f"trace indices must be >= 0, got {lowest}")
         self._response = None if filt is None else filt.response(dt, n)
         if model.jitter_band * dt > 0.1:
             level = 2   # the first frame outside this module: the line that built the ensemble

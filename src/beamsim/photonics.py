@@ -57,23 +57,22 @@ def _burn_in_samples(dt: float, n: int, burn_in: float) -> int:
 
 
 def _ratio_estimate(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Pooled ratio mean(x) / mean(y)^2 over traces and its delta-method
-    standard error from the per-trace scatter of x and y (zero for one trace).
-    The mean flux y must not be zero: g2 of a dark beam is undefined."""
+    """Pooled ratio g = mean(x) / mean(y)^2 over traces and its delta-method
+    standard error: that of the mean of the per-trace influences
+    (x / ybar) / ybar - 2 g (y / ybar), zero for one trace.  Each influence
+    is unchanged, bit for bit, when x scales by 16^k and y by 4^k.
+    The squared mean flux must be a normal float: g2 of a dark beam is undefined."""
     count = x.size
     xbar, ybar = x.mean(), y.mean()
-    if ybar == 0:
-        raise DomainError("zero mean flux (nu = 0?): g2 is undefined")
-    if count < 2:
-        return xbar / ybar**2, 0.0
+    least = math.sqrt(np.finfo(float).tiny)
+    if ybar < least:
+        raise DomainError(f"zero mean flux (nu = 0?), or one below {least:.3g}: g2 is undefined")
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow gives inf or NaN
-        var_x = np.var(x, ddof=1) / count
-        var_y = np.var(y, ddof=1) / count
-        cov_xy = np.cov(x, y, ddof=1)[0, 1] / count
-        var_g = (var_x / ybar**4
-                 + 4.0 * xbar**2 / ybar**6 * var_y
-                 - 4.0 * xbar / ybar**5 * cov_xy)
-        return xbar / ybar**2, math.sqrt(max(var_g, 0.0))
+        g = xbar / ybar**2
+        if count < 2:
+            return g, 0.0
+        influence = (x / ybar) / ybar - 2.0 * g * (y / ybar)
+        return g, math.sqrt(np.var(influence, ddof=1) / count)
 
 
 def g2(traces: Iterable[FieldTrace], tau_grid: Sequence[float],
@@ -150,7 +149,12 @@ def photon_counts(trace: FieldTrace, window_T: float) -> np.ndarray:
     idx = np.arange(n_windows + 1) * w
     cum = np.concatenate([[0.0], np.cumsum((intensity[1:] + intensity[:-1]) * (trace.dt / 2.0))])
     means = cum[idx[1:]] - cum[idx[:-1]]
-    return trace_rng(trace.master_seed, trace.trace_index, _CHANNEL_COUNTS).poisson(means)
+    rng = trace_rng(trace.master_seed, trace.trace_index, _CHANNEL_COUNTS)
+    try:
+        return rng.poisson(means)
+    except ValueError:   # numpy's sampler takes means up to about 9.2e18
+        raise DomainError(f"window means up to {means.max():g} are too large "
+                          "for the Poisson sampler") from None
 
 
 def intensity_samples(traces: Iterable[FieldTrace], spacing: float,

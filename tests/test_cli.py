@@ -4,7 +4,6 @@ import contextlib
 import functools
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from beamsim import cli, fieldgen
 from beamsim.cli import main
 from beamsim.fieldgen import BeamModelSpec, generate_ensemble
+from beamsim.photonics import filtered_laser_sweep
 from beamsim.spectral import spectrum, stationarity_test
 from beamsim.traceio import read_trace
 
@@ -175,6 +175,20 @@ class TestDomainAndGridErrors:
         assert "zero mean flux" in captured.err
         assert "Traceback" not in captured.err
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("command", ["g2", "sweep"])
+    def test_a_flux_too_dim_to_square_exit_code(self, command):
+        """A mean flux below the square root of the smallest normal float has
+        no normal square: one error line, and no numpy warning to raise."""
+        args = (("--family", "thermal", "--dt", "0.01", "--duration", "20") if command == "g2"
+                else ("--dt", "0.001", "--duration", "20", "--fwhms", "100,10"))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "beamsim.cli", command,
+             "--nu", "1e-160", "--gamma", "1", "--traces", "2", "--seed", "3", *args],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == ("error: zero mean flux (nu = 0?), or one below 1.49e-154: "
+                                 "g2 is undefined\n")
 
     @pytest.mark.parametrize("gamma", ["0", "-1", "nan"])
     def test_sweep_checks_gamma_before_its_jitter_defaults(self, capsys, gamma):
@@ -678,6 +692,18 @@ class TestSweepCommand:
         assert float(value) > 0.9
         assert int(size) == 3
 
+    def test_filter_center_is_the_librarys(self, capsys):
+        assert run("sweep", "--nu", "100", "--gamma", "1", "--dt", "0.001", "--duration", "20",
+                   "--traces", "2", "--seed", "5", "--fwhms", "100,10", "--filter-center", "3",
+                   "--format", "json") == 0
+        model = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
+                              jitter_band=100.0, jitter_corr_time=1.5)
+        rows = filtered_laser_sweep(model, [100.0, 10.0], 0.001, 20000, 5, 2,
+                                    center_detuning=3.0)
+        assert json.loads(capsys.readouterr().out)["sweep"] == [
+            {"fwhm": r.fwhm, "value": r.g2_zero, "std_error": r.std_error,
+             "ensemble_size": r.ensemble_size} for r in rows]
+
 
 class TestQslbVerdict:
     """qslb-demo's one verdict rule: a test passes when its p-value exceeds
@@ -717,16 +743,32 @@ class TestQslbVerdict:
         laser = json.loads(capsys.readouterr().out)["results"][1]
         assert (laser["family"], laser["stationarity_p"]) == ("laser", 1.0)
 
-    @pytest.mark.parametrize("nu, sums", [("1e160", "inf"), ("1e-300", "0")])
-    def test_window_intensities_past_the_float_range(self, capsys, nu, sums):
-        """Squared sums that overflow (a verdict from inf, with numpy's
-        warning) or underflow to 0 (thermal stationary at p = 1) are no
-        verdict: exit 3 with one error line and nothing on stdout."""
-        assert run(*self.QSLB, "--nu", nu) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(r"error: window intensities up to \S+ leave the float range when "
-                            rf"squared: the squared column sums are {sums}\n", captured.err)
+    def results(self, capsys, monkeypatch, nu):
+        monkeypatch.setattr(cli, "stationarity_test",
+                            functools.partial(stationarity_test, n_permutations=199))
+        assert run(*self.QSLB, "--nu", nu) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    # ids: --nu and the squared column sums of its W, unscaled
+    @pytest.mark.parametrize("nu", [pytest.param("1e160", id="1e160-inf"),
+                                    pytest.param("1e-300", id="1e-300-0")])
+    def test_window_intensities_past_the_float_range(self, capsys, monkeypatch, nu):
+        """W is tested rescaled by a power of two, so squared sums that would
+        overflow (a verdict from inf) or underflow to 0 (thermal stationary
+        at p = 1) give the stationarity p-values and verdicts of --nu 100.
+        The beam is not 4^k times that one, so the periodogram p-values
+        agree to rounding only."""
+        results = self.results(capsys, monkeypatch, nu)
+        expected = self.results(capsys, monkeypatch, "100")
+        for got, want in zip(results, expected, strict=True):
+            assert got["periodogram_p"] == pytest.approx(want["periodogram_p"], rel=1e-12)
+            assert {**got, "periodogram_p": None} == {**want, "periodogram_p": None}
+
+    @pytest.mark.parametrize("k", [266, -500])
+    def test_a_beam_4_to_the_k_as_bright_gives_the_same_results(self, capsys, monkeypatch, k):
+        """Every sample is 2^k times as large, so both tests see the same bits."""
+        assert (self.results(capsys, monkeypatch, repr(100.0 * 4.0**k))
+                == self.results(capsys, monkeypatch, "100"))
 
 
 class TestNonFiniteOutput:
@@ -736,9 +778,6 @@ class TestNonFiniteOutput:
     so the overflow itself must not warn."""
 
     CASES = {
-        # the delta method's variance of I^2 overflows
-        "g2": ("g2", "--family", "thermal", "--nu", "1e80", "--gamma", "1", "--dt", "0.01",
-               "--duration", "10", "--seed", "1", "--traces", "4", "--taus", "0,0.01"),
         # the squared differences of the periodograms overflow
         "spectrum": ("spectrum", "--family", "thermal", "--nu", "1e300", "--gamma", "1",
                      "--dt", "0.01", "--duration", "1", "--seed", "1", "--traces", "4"),

@@ -193,6 +193,33 @@ class TestBlocks:
         spectrum(generate_ensemble(THERMAL, 0.01, 2000, 9, 40))
         assert calls == [(THERMAL, 0.01, 2000)]
 
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The arguments of every trace_rng call from here on."""
+        calls = []
+        rng = fieldgen.trace_rng
+        monkeypatch.setattr(fieldgen, "trace_rng", lambda *args: calls.append(args) or rng(*args))
+        return calls
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_ensemble_checks_its_seed_before_any_draw(self, draws, seed):
+        """numpy refuses -1 and 1.5 only at the first draw, with its own
+        exception, and takes True as seed 1."""
+        with pytest.raises(DomainError, match="master_seed must be an integer >= 0"):
+            generate_ensemble(THERMAL, 0.01, 100, seed, 3)
+        assert draws == []
+
+    def test_ensemble_checks_its_indices_before_any_draw(self, draws):
+        with pytest.raises(DomainError, match="trace indices must be >= 0, got -1"):
+            generate_trace(THERMAL, 0.01, 100, 1, trace_index=-1)
+        with pytest.raises(DomainError, match="trace indices must be >= 0, got -2"):
+            Ensemble(THERMAL, 0.01, 100, 1, range(-2, 3))
+        assert draws == []
+
+    def test_a_numpy_integer_seed_is_that_seed(self):
+        assert np.array_equal(generate_trace(THERMAL, 0.01, 100, np.int64(7), 2).samples,
+                              generate_trace(THERMAL, 0.01, 100, 7, 2).samples)
+
     @pytest.mark.parametrize("model", [KSPACE, PERIODIC], ids=lambda m: m.family)
     def test_mode_families_reject_a_coarse_dt_as_thermal_does(self, model):
         """At dt = 0.02/gamma a mode family would cut its Lorentzian off at

@@ -2,9 +2,9 @@
 
 Each case runs at a tiny size and its text is compared with a fixture under
 ``tests/golden/``: everything outside numbers must match exactly and every
-number to a relative 1e-12.  The fixtures pin the CSV (stdout and ``--out``)
-and JSON bytes across refactors of the reduction and output code; JSON to
-stdout must equal the JSON fixture.
+number to a relative 1e-12.  The fixtures pin the CSV and JSON bytes across
+refactors of the reduction and output code; a result on stdout must give the
+text of the same result with ``--out``, so it has no fixture of its own.
 
 ``traces`` pins the first and last four samples of one trace of every
 generator family at a fixed seed and trace index.
@@ -51,7 +51,7 @@ COMMANDS = {
                   "--traces", "1000", "--windows", "4"),
 }
 FORMATS = {
-    "csv-stdout": (),
+    "csv-stdout": (),                       # must give the csv-out fixture's text
     "csv-out": ("--out", "{out}"),
     "json": ("--format", "json", "--out", "{out}"),
     "json-stdout": ("--format", "json"),   # must give the json fixture's text
@@ -116,7 +116,9 @@ def assert_same_text(actual: str, expected: str) -> None:
 
 
 def fixture(case: str) -> Path:
-    return GOLDEN / f"{case.replace('.json-stdout', '.json')}.txt"
+    """A result on stdout has the fixture of its --out twin."""
+    twin = case.replace(".csv-stdout", ".csv-out").replace(".json-stdout", ".json")
+    return GOLDEN / f"{twin}.txt"
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -128,7 +130,7 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for case in (c for c in CASES if not c.endswith(".json-stdout")):
+    for case in (c for c in CASES if fixture(c).name == f"{c}.txt"):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             (GOLDEN / f"{case}.txt").write_text(render(case, Path(tmp), mp))
         print(f"wrote {case}", file=sys.stderr)

@@ -251,6 +251,17 @@ class TestPhotonCounts:
         with pytest.raises(DomainError, match="below one dt step"):
             photon_counts(trace, window_T=1e-12)
 
+    def test_a_window_mean_past_the_poisson_sampler_is_a_domain_error(self):
+        """numpy's Poisson sampler refuses means above about 9.2e18: a laser
+        at nu = 1e20 (2.5e19 photons a window) is rejected by name; at nu =
+        1e19 (2.5e18) it is counted."""
+        bright = BeamModelSpec(family="laser", nu=1e20, gamma=1.0)
+        with pytest.raises(DomainError, match="window means up to 2.5e[+]19 are too large"):
+            photon_counts(generate_trace(bright, 0.01, 1000, 1), 1.0)
+        dimmer = BeamModelSpec(family="laser", nu=1e19, gamma=1.0)
+        counts = photon_counts(generate_trace(dimmer, 0.01, 1000, 1), 1.0)
+        assert counts.size == 9
+
     def test_a_window_within_the_whole_step_rule_is_whole_steps(self):
         """The one whole-step rule, as for a g2 lag: 0.0100000001 and
         0.0099999999 at dt = 0.01 are one step, and count exactly as a window
@@ -371,14 +382,16 @@ def test_bad_arguments_pull_no_trace(estimate):
 
 
 class TestSweep:
-    def test_matches_manual_filter_and_g2(self):
+    @pytest.mark.parametrize("center", [0.0, 3.0, -40.0])
+    def test_matches_manual_filter_and_g2(self, center):
         model = BeamModelSpec(family="jittered_laser", nu=100.0, gamma=1.0,
                               jitter_band=100.0, jitter_corr_time=10.0)
         dt, n, seed, n_traces = 1e-3, 50000, 37, 5
-        rows = filtered_laser_sweep(model, [100.0, 2.0, 0.5], dt, n, seed, n_traces)
+        rows = filtered_laser_sweep(model, [100.0, 2.0, 0.5], dt, n, seed, n_traces,
+                                    center_detuning=center)
         # the sweep's moments and g2's row are two kernels: they agree bit for bit
         for row, burn_in in zip(rows, [10.0, 10.0, 20.0]):   # max(10/fwhm, 10/gamma)
-            filt = FilterSpec(0.0, row.fwhm)
+            filt = FilterSpec(center, row.fwhm)
             manual = g2((apply_filter(t, filt)
                          for t in generate_ensemble(model, dt, n, seed, n_traces)),
                         [0.0], burn_in=burn_in)

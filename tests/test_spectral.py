@@ -329,12 +329,25 @@ class TestStationarity:
 
     @pytest.mark.parametrize("scale", [1e160, 1e-300])
     def test_window_intensities_past_the_float_range(self, scale):
-        """Squared sums that overflow, or underflow to 0, would give a verdict
-        on inf or on 0; they are rejected before any permutation, and no
-        numpy warning is raised on the way."""
-        W = scale * np.random.default_rng(2).random((1000, 8))
-        with pytest.raises(DomainError, match="leave the float range when squared"):
-            stationarity_test(W)
+        """Squared sums that would overflow, or underflow to 0, are squared
+        after W is rescaled by a power of two: the p-values are those of the
+        unscaled W, and no numpy warning is raised on the way.  Scaling by
+        1e160 rounds each entry, so F agrees to rounding only."""
+        W = np.random.default_rng(2).random((1000, 8))
+        report = stationarity_test(scale * W, n_permutations=999)
+        unscaled = stationarity_test(W, n_permutations=999)
+        assert (report.p_position, report.p_independence) == (unscaled.p_position,
+                                                              unscaled.p_independence)
+        assert report.position_statistic == pytest.approx(unscaled.position_statistic,
+                                                           rel=1e-12)
+
+    def test_zero_column_sums_give_f_zero(self):
+        """A signed W whose column sums are all 0 is no float-range case: F
+        is 0, which every permutation reaches."""
+        W = np.tile([[1.0, -1.0, 2.0, -2.0], [-1.0, 1.0, -2.0, 2.5], [0.0, 0.0, 0.0, -0.5]],
+                    (4, 1))
+        report = stationarity_test(W, n_permutations=99)
+        assert (report.position_statistic, report.p_position) == (0.0, 1.0)
 
     def test_kspace_product_fails(self):
         model = BeamModelSpec(family="kspace_product", nu=100.0, gamma=1.0)
