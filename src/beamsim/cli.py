@@ -35,10 +35,12 @@ import numpy as np
 from . import __version__
 from .errors import DomainError
 from . import radiometry
-from .fieldgen import FAMILIES, BeamModelSpec, FilterSpec, _whole_steps, generate_ensemble
+from .fieldgen import (FAMILIES, BeamModelSpec, Ensemble, FieldTrace, FilterSpec, _whole_steps,
+                       generate_ensemble)
 from .photonics import apply_filter, filtered_laser_sweep, g2
 from .spectral import (
     _check_law_traces,
+    _ensemble_blocks,
     periodogram_distribution_test,
     spectrum,
     stationarity_test,
@@ -271,13 +273,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     width = max(5, len(str(args.traces - 1)))
-    flux_sum = 0.0
-    files = []
-    for trace in traces:
+
+    def store(trace: FieldTrace) -> tuple[str, float]:
+        """Write one trace; its file name and its mean flux."""
         path = out_dir / f"trace_{trace.trace_index:0{width}d}.ftrc"
         write_trace(trace, path)
-        files.append(path.name)
-        flux_sum += float(trace.intensity().mean())
+        return path.name, float(trace.intensity().mean())
+
+    if isinstance(traces, Ensemble):   # blocks made, written and measured on the pool
+        stored = _ensemble_blocks(traces, lambda block, indices: [
+            store(traces._trace(samples, index)) for samples, index in zip(block, indices)])
+    else:   # any other source is pulled and written one trace at a time, here
+        stored = ([store(trace)] for trace in traces)
+    flux_sum = 0.0
+    files = []
+    with contextlib.closing(stored):   # every task has settled when this returns or raises
+        for block in stored:
+            for name, flux in block:   # in trace order, whatever the worker count
+                files.append(name)
+                flux_sum += flux
     mean_flux = flux_sum / args.traces
     manifest = {
         "tool_version": __version__,

@@ -390,6 +390,14 @@ class Ensemble:
         _check_finite(block)
         return block
 
+    def _trace(self, samples: np.ndarray, index: int) -> FieldTrace:
+        """Trace `index` as a FieldTrace of its row of a block from make_block,
+        which has finite-checked it: FieldTrace's own check is not run again."""
+        trace = object.__new__(FieldTrace)
+        trace.__dict__.update(samples=samples, dt=self.dt, model=self.model,
+                              master_seed=self.master_seed, trace_index=index)
+        return trace
+
     def take_rest(self) -> range:
         """The indices not yet pulled; the iterator is exhausted afterwards."""
         rest, self._rest = self._rest, self._rest[:0]

@@ -186,6 +186,17 @@ def _ordered_map(fn: Callable, items: Iterable, window: int | None = None) -> It
         wait(pending)
 
 
+def _ensemble_blocks(traces: Ensemble, fn: Callable[[np.ndarray, range], object]) -> Iterator:
+    """fn(block, indices) for the traces an Ensemble has not yet yielded, in
+    blocks of consecutive indices made by `make_block` (the one finite check)
+    on the shared pool, sized and kept in flight by `_chunking`; the results
+    come in trace order, as `_ordered_map` gives them."""
+    per_block, window = _chunking(traces.n)
+    rest, make_block = traces.take_rest(), traces.make_block
+    blocks = (rest[i:i + per_block] for i in range(0, len(rest), per_block))
+    return _ordered_map(lambda indices: fn(make_block(indices), indices), blocks, window)
+
+
 def _scan(traces: Iterable[FieldTrace], row: Callable[[np.ndarray, float], np.ndarray],
           least: int = 1, fold: bool = False) -> tuple[float, int, np.ndarray]:
     """One pass over an ensemble: the reduction core of every estimator.
@@ -203,7 +214,7 @@ def _scan(traces: Iterable[FieldTrace], row: Callable[[np.ndarray, float], np.nd
 
     Later traces go through `row` in one of two ways.  An `Ensemble` is
     generated on the shared pool in blocks of consecutive traces, one task
-    per block, sized and kept in flight by `_chunking`.  Traces from any
+    per block (`_ensemble_blocks`).  Traces from any
     other iterable are pulled (made or read), checked and reduced one by one
     in the calling thread, so an error at a trace stops the pull there.
     Rows are stacked or folded here, one by one in trace order, so every
@@ -218,19 +229,15 @@ def _scan(traces: Iterable[FieldTrace], row: Callable[[np.ndarray, float], np.nd
     first_rows = row(first.samples[np.newaxis], dt)
     del first   # a trace can be large: do not hold it through the scan
     if isinstance(traces, Ensemble):
-        per_block, window = _chunking(n)
-        rest, make_block = traces.take_rest(), traces.make_block
-        items = (rest[i:i + per_block] for i in range(0, len(rest), per_block))
-        def fn(indices: range) -> np.ndarray:
-            return row(make_block(indices), dt)
+        later = _ensemble_blocks(traces, lambda block, indices: row(block, dt))
     else:
         def fn(trace: FieldTrace) -> np.ndarray:
             _check_same_grid(trace, dt, n)
             return row(trace.samples[np.newaxis], dt)   # a one-trace block is a view
-        items, window = traces, 1
+        later = _ordered_map(fn, traces, 1)
     rows: list | np.ndarray = []
     count = 0
-    with closing(_ordered_map(fn, items, window)) as later:
+    with closing(later):
         for block_rows in chain([first_rows], later):
             if not fold:
                 rows.append(block_rows)

@@ -1,6 +1,7 @@
 """Unit tests for filtering, intensity correlations, and photon counting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,17 @@ class TestPhotonCounts:
         dimmer = BeamModelSpec(family="laser", nu=1e19, gamma=1.0)
         counts = photon_counts(generate_trace(dimmer, 0.01, 1000, 1), 1.0)
         assert counts.size == 9
+
+    def test_a_long_trace_past_the_float_range_in_total_has_finite_window_means(self):
+        """A laser at nu = 1e308 holds 2.5e307 photons a window and 2.5e310
+        in its 1000 windows: each window is summed on its own, so the sampler
+        refuses a finite mean, with no overflow warning on the way."""
+        bright = BeamModelSpec(family="laser", nu=1e308, gamma=1.0)
+        trace = generate_trace(bright, 0.01, 100000, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="window means up to 2.5e[+]307 are too large"):
+                photon_counts(trace, 1.0)
 
     def test_a_window_within_the_whole_step_rule_is_whole_steps(self):
         """The one whole-step rule, as for a g2 lag: 0.0100000001 and

@@ -476,3 +476,122 @@ def test_cli_g2_filters_on_the_pool(monkeypatch, capsys):
     assert calls[0] == (threading.current_thread().name, 1)
     assert sorted(rows for _, rows in calls[1:]) == [2, 3, 3, 3]
     assert all(name.startswith("beamsim-scan") for name, _ in calls[1:])
+
+
+SIMULATE_FAMILIES = {
+    "thermal": ["--family", "thermal"],
+    "laser": ["--family", "laser"],
+    "jittered_laser": ["--family", "jittered_laser", "--jitter-band", "5",
+                       "--jitter-corr-time", "1.5"],
+}
+
+
+def simulate_args(out, family="thermal", traces=TRACES):
+    return ["simulate", *SIMULATE_FAMILIES[family], "--nu", "100", "--gamma", "1",
+            "--dt", str(DT), "--duration", str(N * DT), "--traces", str(traces),
+            "--seed", str(SEED), "--out", str(out)]
+
+
+def simulate(out, family="thermal"):
+    """`beamsim simulate` of TRACES traces of N samples into `out`: the bytes
+    of every file it wrote, by name."""
+    from beamsim import cli
+
+    assert cli.main(simulate_args(out, family)) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def serial_simulations(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_BLOCK_BYTES", 0)   # one trace per block, one in flight
+        mp.setattr(spectral, "_WORKERS", 1)
+        return {family: simulate(tmp_path_factory.mktemp(family), family)
+                for family in SIMULATE_FAMILIES}
+
+
+@pytest.mark.parametrize("family", list(SIMULATE_FAMILIES))
+def test_simulate_writes_the_same_bytes_for_any_worker_count_and_block_size(
+        serial_simulations, monkeypatch, tmp_path, fast_switching, family):
+    """Every .ftrc file and run.json, its mean_flux to the last bit, equal a
+    serial run's at 1, 2 and 4 workers and in blocks of 1, 3 and 5 traces."""
+    expected = serial_simulations[family]
+    assert len(expected) == TRACES + 1 and "run.json" in expected
+    for workers in (1, 2, 4):
+        for block_traces in (1, 3, 5):
+            monkeypatch.setattr(spectral, "_WORKERS", workers)
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes(block_traces))
+            assert simulate(tmp_path / f"{workers}-{block_traces}", family) == expected
+
+
+def test_simulate_makes_and_writes_its_blocks_on_the_pool(monkeypatch, tmp_path):
+    """Each block of three traces is one task, submitted from the calling
+    thread, that makes its traces and writes their files on a worker."""
+    from beamsim import cli
+
+    writers = []
+    write = cli.write_trace
+    monkeypatch.setattr(cli, "write_trace", lambda trace, path: (
+        writers.append(threading.current_thread()) or write(trace, path)))
+    pool = RecordingExecutor()
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_executor", lambda w: pool)
+    try:
+        simulate(tmp_path / "run")
+    finally:
+        pool.shutdown()
+    assert len(pool.futures) == TRACES // 3
+    assert set(pool.submitters) == {threading.current_thread()}
+    assert len(writers) == TRACES and threading.current_thread() not in writers
+
+
+def test_simulate_pulls_any_other_source_in_the_calling_thread(serial_simulations, monkeypatch,
+                                                               tmp_path):
+    """A source that is not an Ensemble (a traced run's generator, say) is
+    pulled and written one trace at a time in the calling thread: the same
+    bytes, and no task."""
+    from beamsim import cli
+
+    pool = RecordingExecutor()
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_executor", lambda w: pool)
+    monkeypatch.setattr(cli, "generate_ensemble", lambda *args, **kwargs: (
+        trace for trace in generate_ensemble(*args, **kwargs)))
+    try:
+        written = simulate(tmp_path / "run")
+    finally:
+        pool.shutdown()
+    assert written == serial_simulations["thermal"]
+    assert pool.futures == []
+
+
+def test_simulate_settles_every_task_after_a_failed_write(monkeypatch, tmp_path, capsys):
+    """A write failing at trace 5 of 20 on 2 workers exits 4 and writes no
+    run.json.  Every task has settled when main returns, although the later
+    writes are slow, so no file appears afterwards."""
+    from beamsim import cli
+
+    write = cli.write_trace
+
+    def failing_write(trace, path):
+        if trace.trace_index == 5:
+            raise OSError("disk full")
+        time.sleep(0.02 if trace.trace_index > 5 else 0.0)
+        write(trace, path)
+
+    pool = RecordingExecutor()
+    monkeypatch.setattr(cli, "write_trace", failing_write)
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    monkeypatch.setattr(spectral, "_executor", lambda w: pool)
+    out = tmp_path / "run"
+    try:
+        code = cli.main(simulate_args(out, traces=20))
+        settled = [f.done() for f in pool.futures]
+        left = sorted(path.name for path in out.iterdir())
+    finally:
+        pool.shutdown()
+    assert code == 4 and "disk full" in capsys.readouterr().err
+    assert len(settled) > 2 and all(settled)
+    assert not {"run.json", "run.json.partial", "trace_00005.ftrc"} & set(left)
+    assert {f"trace_{i:05d}.ftrc" for i in range(5)} <= set(left)
+    assert sorted(path.name for path in out.iterdir()) == left
